@@ -41,6 +41,7 @@ from .engines import (
     canonical_sort_key,
     enumerate_perfect_matchings,
     has_perfect_matching,
+    tkpm_reaches,
 )
 from .formats import (
     InstanceFormatError,
@@ -136,6 +137,7 @@ __all__ = [
     "report_to_json",
     "sample_isolation_weights",
     "symbolic_determinant",
+    "tkpm_reaches",
     "top_k_weight",
     "validate",
     "validate_instance",

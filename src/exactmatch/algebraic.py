@@ -20,6 +20,7 @@ of the right parity.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -59,9 +60,11 @@ class EmDecision:
     """Outcome of the randomized decider.
 
     A True answer is certified. A False answer is "probably no" with the
-    stated one-sided error bound (0.0 when the instance structurally admits
-    no perfect matching). The transcript records, per trial, the sampled
-    weights and whether the inspected coefficient was nonzero.
+    stated one-sided error bound, which stays positive however many trials
+    ran; it is exact (bound 0.0, trials_run 0) only when the instance
+    structurally admits no perfect matching. The transcript records, per
+    trial, the sampled weights and whether the inspected coefficient was
+    nonzero.
     """
 
     answer: bool
@@ -148,8 +151,10 @@ def symbolic_determinant(
         if sides[u] == sides[v]:
             raise ValueError(f"bipartition does not separate edge {eid}")
         lu, rv = (u, v) if sides[u] == 0 else (v, u)
-        matrix[row[lu]][col[rv]] = Polynomial.monomial(
-            2 ** weights[eid], 1 if color == RED else 0)
+        entry = Polynomial.monomial(2 ** weights[eid], 1 if color == RED else 0)
+        r, c = row[lu], col[rv]
+        # parallel edges share a matrix entry, so their monomials add up
+        matrix[r][c] = entry if matrix[r][c] is zero else matrix[r][c] + entry
     return determinant(matrix)
 
 
@@ -183,7 +188,9 @@ def algebraic_em_decide(
         if hit:
             return EmDecision(answer=True, error_bound=0.0,
                               trials_run=trial + 1, transcript=tuple(transcript))
-    return EmDecision(answer=False, error_bound=2.0 ** -trials,
+    # 2^-trials, floored at the smallest positive float so that a long run
+    # of misses never reads as an exact "no"
+    return EmDecision(answer=False, error_bound=math.ldexp(1.0, -min(trials, 1074)),
                       trials_run=trials, transcript=tuple(transcript))
 
 

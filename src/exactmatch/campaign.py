@@ -369,7 +369,7 @@ def _verdict_algebraic(instance: EmInstance, seed: int, trials: int) -> tuple[st
     decision = algebraic_em_decide(instance, trials=trials, seed=seed)
     if decision.answer:
         return "yes", True
-    if decision.error_bound == 0.0:
+    if decision.trials_run == 0:
         return "no", True
     return "probably-no", False
 

@@ -30,10 +30,21 @@ from .formats import (
     parse_tkpm_instance,
 )
 from .generator import GenSpec, gen_instance
+from .graphs import validate_instance
 from .reduction import decide_em_via_tkpm, format_gadget_map, gadgetize
 
 # n -> default extra edge count for the mixed-size randomized verify
 _VERIFY_SIZES = ((2, 0), (4, 2), (6, 5), (8, 9))
+
+
+def _read_instance(path: str, parse):
+    """Parse an instance file and validate it; a ValueError carries the
+    first violated invariant to main, which exits 2."""
+    instance = parse(Path(path).read_text())
+    problem = validate_instance(instance)
+    if problem is not None:
+        raise ValueError(problem)
+    return instance
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -48,7 +59,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    instance = parse_em_instance(Path(args.infile).read_text())
+    instance = _read_instance(args.infile, parse_em_instance)
     tkpm, gadget_map = gadgetize(instance)
     Path(args.out).write_text(format_tkpm_instance(tkpm))
     Path(args.map).write_text(format_gadget_map(gadget_map))
@@ -58,7 +69,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _solve_em(args: argparse.Namespace) -> int:
-    instance = parse_em_instance(Path(args.infile).read_text())
+    instance = _read_instance(args.infile, parse_em_instance)
     if args.engine == "brute":
         witness = brute_em(instance)
         if witness is None:
@@ -83,7 +94,7 @@ def _solve_em(args: argparse.Namespace) -> int:
 
 
 def _solve_tkpm(args: argparse.Namespace) -> int:
-    instance = parse_tkpm_instance(Path(args.infile).read_text())
+    instance = _read_instance(args.infile, parse_tkpm_instance)
     result = brute_tkpm(instance)
     if result is None:
         print("no")
@@ -95,7 +106,7 @@ def _solve_tkpm(args: argparse.Namespace) -> int:
 
 
 def _solve_parity(args: argparse.Namespace) -> int:
-    instance = parse_em_instance(Path(args.infile).read_text())
+    instance = _read_instance(args.infile, parse_em_instance)
     if args.engine == "brute":
         witness = (brute_cpm if args.problem == "cpm" else brute_bcpm)(instance)
         if witness is None:

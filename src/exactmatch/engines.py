@@ -8,11 +8,18 @@ so witnesses and tie-breaks are reproducible across runs.
 
 Two search engines sit underneath. The default one propagates forced moves
 (any uncovered vertex left with a single available edge) and branches on a
-most-constrained vertex, which keeps subdivision-heavy graphs cheap; its
-results are sorted into canonical order before being yielded. When a budget
-is given, a plain canonical-order backtracking search runs instead so that
+most-constrained vertex, which keeps subdivision-heavy graphs cheap. Before
+its first branch it settles every forced move in one pass seeded with all
+degree-one vertices, so pendant paths and isolated edges cost no search
+depth; it stops at once on odd n or a vertex without edges. Its results
+are sorted into canonical order before being yielded. When a budget is
+given, a plain canonical-order backtracking search runs instead so that
 "matchings visited" has its literal streaming meaning; both engines yield
 identical sequences on every graph they both complete.
+
+The TkPM decision form, tkpm_reaches, walks the default engine lazily and
+stops at the first perfect matching that reaches a threshold; brute_tkpm is
+the optimisation oracle that ranks every matching.
 """
 
 from __future__ import annotations
@@ -109,30 +116,43 @@ def _iter_unordered(graph: Graph) -> Iterator[Matching]:
     """Fast search over all perfect matchings, in no particular order.
 
     Forced moves (vertices with exactly one available edge) are applied
-    eagerly in cascades; branching happens on a most-constrained vertex.
+    eagerly in cascades: once before the first branch, seeded with every
+    vertex of degree one, and again after every branching edge. Branching
+    happens on a most-constrained vertex.
     """
     n = graph.n
-    if n == 0:
-        yield ()
+    if n % 2:
         return
     adj = graph.adjacency
+    avail = [len(a) for a in adj]
+    if 0 in avail:
+        return
     covered = bytearray(n)
-    avail = [len(adj[v]) for v in range(n)]
     chosen: list[int] = []
     uncovered_count = n
 
-    def cascade(eid0: int, a0: int, b0: int):
-        """Apply one edge and every forced move it triggers. Returns the
-        dead flag plus the undo log (moves made, vertices covered,
-        availability decrements)."""
+    def cascade(next_edge: Optional[tuple[int, int, int]], queue: list[int]):
+        """Apply next_edge (if any), then every forced move among the
+        queued vertices and those the moves leave with one available edge.
+        Returns the dead flag plus the undo log (moves made, vertices
+        covered, availability decrements)."""
         nonlocal uncovered_count
         covers: list[int] = []
         decs: list[int] = []
-        queue: list[int] = []
         nmoves = 0
-        dead = False
-        next_edge: Optional[tuple[int, int, int]] = (eid0, a0, b0)
-        while next_edge is not None:
+        while True:
+            while next_edge is None and queue:
+                w = queue.pop()
+                if covered[w]:
+                    continue
+                # a queued vertex whose count hit zero ended the cascade
+                # as dead, so w has exactly one edge left
+                for e2, x in adj[w]:
+                    if not covered[x]:
+                        next_edge = (e2, w, x)
+                        break
+            if next_edge is None:
+                return False, nmoves, covers, decs
             eid, a, b = next_edge
             next_edge = None
             covered[a] = 1
@@ -148,29 +168,9 @@ def _iter_unordered(graph: Graph) -> Iterator[Matching]:
                         avail[w] = left
                         decs.append(w)
                         if left == 0:
-                            dead = True
-                        elif left == 1:
+                            return True, nmoves, covers, decs
+                        if left == 1:
                             queue.append(w)
-            if dead:
-                break
-            while queue:
-                w = queue.pop()
-                if covered[w]:
-                    continue
-                if avail[w] != 1:
-                    # went to zero after being queued; the decrement loop
-                    # already flagged that as dead, so this is unreachable,
-                    # kept as a guard
-                    dead = True
-                    break
-                for e2, x in adj[w]:
-                    if not covered[x]:
-                        next_edge = (e2, w, x)
-                        break
-                break
-            if dead:
-                break
-        return dead, nmoves, covers, decs
 
     def walk() -> Iterator[Matching]:
         nonlocal uncovered_count
@@ -192,7 +192,7 @@ def _iter_unordered(graph: Graph) -> Iterator[Matching]:
         for eid, other in adj[branch_vertex]:
             if covered[other]:
                 continue
-            dead, nmoves, covers, decs = cascade(eid, branch_vertex, other)
+            dead, nmoves, covers, decs = cascade((eid, branch_vertex, other), [])
             if not dead:
                 yield from walk()
             for w in decs:
@@ -202,7 +202,9 @@ def _iter_unordered(graph: Graph) -> Iterator[Matching]:
             uncovered_count += len(covers)
             del chosen[len(chosen) - nmoves:]
 
-    yield from walk()
+    dead = cascade(None, [v for v in range(n) if avail[v] == 1])[0]
+    if not dead:
+        yield from walk()
 
 
 def enumerate_perfect_matchings(
@@ -272,6 +274,15 @@ def brute_tkpm(instance: TkpmInstance) -> Optional[tuple[Matching, int]]:
     if best is None:
         return None
     return best, best_value
+
+
+def tkpm_reaches(instance: TkpmInstance, threshold: int) -> bool:
+    """Decision form of TkPM: True iff some perfect matching has top-k
+    weight at least threshold. Stops at the first such matching, in no
+    particular order, so it ranks nothing and finds no optimum."""
+    weights, k = instance.graph.weights, instance.k
+    return any(top_k_weight(weights, matching, k) >= threshold
+               for matching in _iter_unordered(instance.graph))
 
 
 def _brute_first(instance: EmInstance, accept) -> Optional[Matching]:

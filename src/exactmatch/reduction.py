@@ -28,7 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .engines import brute_tkpm
+# brute_tkpm stays importable from here as the optimisation oracle that
+# callers pass as tkpm_solver
+from .engines import brute_tkpm, tkpm_reaches  # noqa: F401
 from .graphs import (
     RED,
     EmInstance,
@@ -167,12 +169,20 @@ def lifted_value(gadget_map: GadgetMap, matching: Matching) -> int:
 
 
 def decide_em_via_tkpm(instance: EmInstance, tkpm_solver: Optional[TkpmSolver] = None) -> bool:
-    """Decide exact matching through the gadget: build it, maximize the
-    top-k' weight, and compare against the threshold. A gadget without any
-    perfect matching decides no."""
-    if tkpm_solver is None:
-        tkpm_solver = brute_tkpm
+    """Decide exact matching through the gadget: build it and ask whether
+    some perfect matching reaches the threshold 4R + k on its top-k' weight.
+
+    By default this is the threshold decision tkpm_reaches, which stops at
+    the first gadget matching that reaches the threshold. The gadget's
+    forced edges are settled in one initial forced-move pass, before any
+    branching. Since no gadget matching exceeds the threshold, a first hit
+    is also optimal. With an explicit tkpm_solver (brute_tkpm, say), the
+    solver's optimum is compared against the threshold instead; a gadget
+    without any perfect matching decides no either way.
+    """
     gadget, gadget_map = gadgetize(instance)
+    if tkpm_solver is None:
+        return tkpm_reaches(gadget, gadget_map.threshold)
     result = tkpm_solver(gadget)
     if result is None:
         return False

@@ -6,6 +6,7 @@ computed from permutation inversions, independently of the elimination
 code under test.
 """
 
+import math
 import random
 from collections import Counter
 
@@ -125,6 +126,13 @@ def test_symbolic_determinant_single_blue_edge():
     g = ColoredGraph(2, ((0, 1, BLUE),))
     bp = find_bipartition(g)
     assert symbolic_determinant(g, bp, (2,)) == Polynomial([4])
+
+
+def test_symbolic_determinant_adds_parallel_edges():
+    # both edges of the pair are perfect matchings of K2, one red, one blue
+    g = ColoredGraph(2, ((0, 1, RED), (0, 1, BLUE)))
+    bp = find_bipartition(g)
+    assert symbolic_determinant(g, bp, (1, 2)) == Polynomial([4, 2])
 
 
 def test_symbolic_determinant_no_pm_is_zero():
@@ -259,6 +267,15 @@ def test_default_trials_error_bound():
     assert DEFAULT_TRIALS == 40
     decision = algebraic_em_decide(EmInstance(K2_RED, 0), seed=0)
     assert decision.error_bound == pytest.approx(2.0 ** -40)
+
+
+def test_error_bound_never_underflows():
+    # 2.0 ** -trials is 0.0 from 1075 trials on; a "no" must still carry a
+    # positive bound, the smallest one a float can hold
+    k2_blue = ColoredGraph(2, ((0, 1, BLUE),))
+    decision = algebraic_em_decide(EmInstance(k2_blue, 1), trials=1100, seed=0)
+    assert decision.answer is False and decision.trials_run == 1100
+    assert decision.error_bound == math.ldexp(1.0, -1074) > 0.0
 
 
 def test_cpm_via_em_examples():

@@ -330,3 +330,8 @@ def test_randomized_campaign_is_replayable():
     assert a.instances_run == b.instances_run
     assert a.disagreements == b.disagreements
     assert a.detection == b.detection
+
+
+def test_algebraic_no_after_many_trials_is_not_exact():
+    k2_blue = parse_em_instance("p em 2 1 1\ne 0 1 b\n")
+    assert campaign._verdict_algebraic(k2_blue, 0, 1100) == ("probably-no", False)

@@ -143,6 +143,39 @@ def test_solve_parse_error_carries_line_number(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+K2_PARALLEL_K1 = "p em 2 2 1\ne 0 1 r\ne 0 1 b\n"
+
+
+@pytest.mark.parametrize("engine", ["brute", "via-tkpm", "algebraic"])
+def test_solve_rejects_invalid_instance(tmp_path, capsys, engine):
+    # the parser accepts parallel edges; the CLI validates before solving
+    src = write(tmp_path, "par.em", K2_PARALLEL_K1)
+    assert main(["solve", "em", "--engine", engine, "--in", src]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: parallel edge at edge 1 (duplicate of edge 0)\n"
+
+
+def test_solve_rejects_k_out_of_range(tmp_path, capsys):
+    src = write(tmp_path, "bigk.em", "p em 2 1 2\ne 0 1 r\n")
+    assert main(["solve", "cpm", "--in", src]) == 2
+    assert "k (2) exceeds maximum matching size (1)" in capsys.readouterr().err
+
+
+def test_solve_tkpm_rejects_self_loop(tmp_path, capsys):
+    src = write(tmp_path, "loop.tkpm", "p tkpm 2 2 1\ne 0 1 3\ne 1 1 2\n")
+    assert main(["solve", "tkpm", "--in", src]) == 2
+    assert "self-loop at edge 1" in capsys.readouterr().err
+
+
+def test_reduce_rejects_invalid_instance(tmp_path, capsys):
+    src = write(tmp_path, "par.em", K2_PARALLEL_K1)
+    out, gmap = tmp_path / "g.tkpm", tmp_path / "g.map"
+    assert main(["reduce", "--in", src, "--out", str(out), "--map", str(gmap)]) == 2
+    assert "parallel edge at edge 1" in capsys.readouterr().err
+    assert not out.exists() and not gmap.exists()
+
+
 def test_verify_exhaustive_n2(tmp_path, capsys):
     report_file = str(tmp_path / "report.json")
     assert main(["verify", "--exhaustive", "--max-n", "2", "--json", report_file]) == 0

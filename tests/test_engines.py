@@ -14,8 +14,11 @@ from exactmatch.engines import (
     brute_em,
     brute_tkpm,
     canonical_sort_key,
+    _iter_canonical,
+    _iter_unordered,
     enumerate_perfect_matchings,
     has_perfect_matching,
+    tkpm_reaches,
 )
 from exactmatch.graphs import (
     BLUE,
@@ -184,6 +187,62 @@ def test_brute_tkpm_k_zero_still_requires_pm():
     path = WeightedGraph(3, ((0, 1, 5), (1, 2, 5)))
     assert brute_tkpm(TkpmInstance(path, 0)) is None
     assert brute_tkpm(TkpmInstance(WeightedGraph(2, ((0, 1, 9),)), 0)) == ((0,), 0)
+
+
+def random_sparse_weighted_graph(rng, n_max=8):
+    """A weighted graph on at most n_max vertices, shuffled, built from
+    isolated edges, pendant vertices, isolated vertices and a random core,
+    so that forced moves run before, between and after branches.
+    Returns the graph and the set of those features it has."""
+    n = rng.randint(0, n_max)
+    verts = list(range(n))
+    rng.shuffle(verts)
+    pairs = set()
+    features = set()
+    while len(verts) >= 2 and rng.random() < 0.3:
+        pairs.add(tuple(sorted((verts.pop(), verts.pop()))))
+        features.add("isolated edge")
+    if verts and rng.random() < 0.2:
+        verts.pop()
+        features.add("isolated vertex")
+    density = rng.random()
+    for u, v in itertools.combinations(verts, 2):
+        if rng.random() < density:
+            pairs.add(tuple(sorted((u, v))))
+    while len(verts) >= 2 and rng.random() < 0.4:
+        pendant = verts.pop()
+        pairs.add(tuple(sorted((pendant, rng.choice(verts)))))
+        features.add("pendant vertex")
+    if n % 2:
+        features.add("odd n")
+    if n == 0:
+        features.add("n = 0")
+    edges = tuple((u, v, rng.randint(0, 4)) for u, v in sorted(pairs))
+    return WeightedGraph(n, edges), features
+
+
+def test_tkpm_reaches_matches_brute_tkpm_at_every_threshold():
+    rng = random.Random(91)
+    seen = set()
+    for _ in range(600):
+        g, features = random_sparse_weighted_graph(rng)
+        seen |= features
+        assert validate(g) is None
+        k = rng.randint(0, g.n // 2 + 1)
+        best = brute_tkpm(TkpmInstance(g, k))
+        for threshold in range(sum(g.weights) + 2):
+            expected = best is not None and best[1] >= threshold
+            assert tkpm_reaches(TkpmInstance(g, k), threshold) is expected, (g, k, threshold)
+    assert seen == {"isolated edge", "isolated vertex", "pendant vertex", "odd n", "n = 0"}
+
+
+def test_unordered_engine_finds_the_canonical_engine_set():
+    rng = random.Random(92)
+    for _ in range(600):
+        g, _ = random_sparse_weighted_graph(rng)
+        unordered = list(_iter_unordered(g))
+        assert len(unordered) == len(set(unordered))
+        assert set(unordered) == set(_iter_canonical(g, None))
 
 
 def test_brute_cpm_examples():

@@ -237,6 +237,15 @@ def test_decide_no_pm_at_all():
         assert not decide_em_via_tkpm(EmInstance(star, k))
 
 
+def test_decide_on_long_path_does_not_recurse_per_forced_edge():
+    # the gadget of k = 1000 has 1,000 isolated forced edges; they are all
+    # settled before the first branch, not one recursion level each
+    path = ColoredGraph(2000, tuple((i, i + 1, RED) for i in range(1999)))
+    assert len(gadgetize(EmInstance(path, 1000))[1].ek_edges) == 1000
+    assert decide_em_via_tkpm(EmInstance(path, 1000))
+    assert not decide_em_via_tkpm(EmInstance(path, 999))
+
+
 def test_format_gadget_map_golden():
     _, gm = gadgetize(EmInstance(K2_RED, 1))
     assert format_gadget_map(gm) == (
