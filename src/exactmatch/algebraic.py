@@ -197,13 +197,34 @@ def algebraic_em_decide(
 EmDecider = Callable[[EmInstance], Union[EmDecision, Optional[Matching], bool]]
 
 
-def _yes_and_error(result) -> tuple[bool, float]:
-    if isinstance(result, EmDecision):
+def yes_and_error(result) -> tuple[bool, float]:
+    """Read any engine's result as (yes, error bound on a "no"): an
+    EmDecision or ParityDecision carries its own bound, while a bool or a
+    witness-or-None answer is exact."""
+    if isinstance(result, (EmDecision, ParityDecision)):
         return result.answer, result.error_bound
     if isinstance(result, bool):
         return result, 0.0
     # Witness-or-None style decider; () is a genuine witness on n=0.
     return result is not None, 0.0
+
+
+def _parity_via_em(instance: EmInstance, em_decider: Optional[EmDecider],
+                   top: int) -> ParityDecision:
+    """Ask EM at every red count of k's parity from k % 2 up to top."""
+    if em_decider is None:
+        em_decider = brute_em
+    graph, k = instance.graph, instance.k
+    queries: list[int] = []
+    accumulated_error = 0.0
+    for kp in range(k % 2, top + 1, 2):
+        queries.append(kp)
+        yes, error = yes_and_error(em_decider(EmInstance(graph, kp)))
+        if yes:
+            return ParityDecision(answer=True, error_bound=0.0, queries=tuple(queries))
+        accumulated_error += error
+    return ParityDecision(answer=False, error_bound=min(accumulated_error, 1.0),
+                          queries=tuple(queries))
 
 
 def cpm_via_em(instance: EmInstance, em_decider: Optional[EmDecider] = None) -> ParityDecision:
@@ -214,34 +235,10 @@ def cpm_via_em(instance: EmInstance, em_decider: Optional[EmDecider] = None) -> 
     With a randomized decider the "no" side inherits a union-bound error,
     reported in the result; with brute_em the answer is exact.
     """
-    if em_decider is None:
-        em_decider = brute_em
-    graph, k = instance.graph, instance.k
-    queries: list[int] = []
-    accumulated_error = 0.0
-    for kp in range(k % 2, graph.n // 2 + 1, 2):
-        queries.append(kp)
-        yes, error = _yes_and_error(em_decider(EmInstance(graph, kp)))
-        if yes:
-            return ParityDecision(answer=True, error_bound=0.0, queries=tuple(queries))
-        accumulated_error += error
-    return ParityDecision(answer=False, error_bound=min(accumulated_error, 1.0),
-                          queries=tuple(queries))
+    return _parity_via_em(instance, em_decider, instance.graph.n // 2)
 
 
 def bcpm_via_em(instance: EmInstance, em_decider: Optional[EmDecider] = None) -> ParityDecision:
     """Bounded variant: the red count must match k's parity and not exceed
     k, so only red counts up to k are queried."""
-    if em_decider is None:
-        em_decider = brute_em
-    graph, k = instance.graph, instance.k
-    queries: list[int] = []
-    accumulated_error = 0.0
-    for kp in range(k % 2, min(k, graph.n // 2) + 1, 2):
-        queries.append(kp)
-        yes, error = _yes_and_error(em_decider(EmInstance(graph, kp)))
-        if yes:
-            return ParityDecision(answer=True, error_bound=0.0, queries=tuple(queries))
-        accumulated_error += error
-    return ParityDecision(answer=False, error_bound=min(accumulated_error, 1.0),
-                          queries=tuple(queries))
+    return _parity_via_em(instance, em_decider, min(instance.k, instance.graph.n // 2))

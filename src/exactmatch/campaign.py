@@ -7,6 +7,9 @@ every feasible k, and compares the brute-force exact-matching oracle against
 the gadget-reduction decider. randomized_campaign compares any subset of the
 solver engines on generated instances.
 
+SOLVERS is the one engine table: `exactmatch solve` looks engines up in it,
+and ENGINES, the named engines the campaigns run, is derived from it.
+
 Comparison convention: engines are exact unless they report a nonzero error
 bound. A "probably no" from a randomized engine against a brute-force "yes"
 is a statistical event, recorded separately; an impossible answer (a "yes"
@@ -25,12 +28,20 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
-from .algebraic import algebraic_em_decide, cpm_via_em, find_bipartition
+from .algebraic import (
+    algebraic_em_decide,
+    bcpm_via_em,
+    cpm_via_em,
+    find_bipartition,
+    yes_and_error,
+)
 from .engines import (
     BudgetExhausted,
     EnumerationBudget,
+    brute_bcpm,
     brute_cpm,
     brute_em,
+    brute_tkpm,
     enumerate_perfect_matchings,
 )
 from .formats import format_em_instance
@@ -357,39 +368,38 @@ def exhaustive_sweep(
         budget_notes=tuple(notes))
 
 
-def _verdict_brute_em(instance: EmInstance, seed: int, trials: int) -> tuple[str, bool]:
-    return ("yes" if brute_em(instance) is not None else "no"), True
+# (problem, `solve --engine` name) -> (campaign engine name or None,
+# bipartite-only, solve(instance, seed, trials)): the one place to add an
+# engine. The callables look their engine up in this module at call time.
+SOLVERS: dict[tuple[str, str], tuple[Optional[str], bool, Callable]] = {
+    ("em", "brute"): ("brute-em", False, lambda inst, seed, trials: brute_em(inst)),
+    ("em", "via-tkpm"): ("via-tkpm", False,
+                         lambda inst, seed, trials: decide_em_via_tkpm(inst)),
+    ("em", "algebraic"): ("algebraic", True, lambda inst, seed, trials:
+                          algebraic_em_decide(inst, trials=trials, seed=seed)),
+    ("tkpm", "brute"): (None, False, lambda inst, seed, trials: brute_tkpm(inst)),
+    ("cpm", "brute"): ("brute-cpm", False, lambda inst, seed, trials: brute_cpm(inst)),
+    ("cpm", "via-em"): ("cpm-via-em", False, lambda inst, seed, trials: cpm_via_em(inst)),
+    ("bcpm", "brute"): (None, False, lambda inst, seed, trials: brute_bcpm(inst)),
+    ("bcpm", "via-em"): (None, False, lambda inst, seed, trials: bcpm_via_em(inst)),
+}
 
 
-def _verdict_via_tkpm(instance: EmInstance, seed: int, trials: int) -> tuple[str, bool]:
-    return ("yes" if decide_em_via_tkpm(instance) else "no"), True
-
-
-def _verdict_algebraic(instance: EmInstance, seed: int, trials: int) -> tuple[str, bool]:
-    decision = algebraic_em_decide(instance, trials=trials, seed=seed)
-    if decision.answer:
-        return "yes", True
-    if decision.trials_run == 0:
-        return "no", True
-    return "probably-no", False
-
-
-def _verdict_brute_cpm(instance: EmInstance, seed: int, trials: int) -> tuple[str, bool]:
-    return ("yes" if brute_cpm(instance) is not None else "no"), True
-
-
-def _verdict_cpm_via_em(instance: EmInstance, seed: int, trials: int) -> tuple[str, bool]:
-    return ("yes" if cpm_via_em(instance).answer else "no"), True
+def _verdict(solve: Callable) -> Callable[[EmInstance, int, int], tuple[str, bool]]:
+    """A campaign runner: the solve result as (verdict, exact); a "no" is
+    exact only when it carries no error bound."""
+    def run(instance: EmInstance, seed: int, trials: int) -> tuple[str, bool]:
+        yes, error = yes_and_error(solve(instance, seed, trials))
+        if yes:
+            return "yes", True
+        return ("no", True) if error == 0.0 else ("probably-no", False)
+    return run
 
 
 # name -> (problem family, bipartite-only, verdict runner)
 ENGINES: dict[str, tuple[str, bool, Callable[[EmInstance, int, int], tuple[str, bool]]]] = {
-    "brute-em": ("em", False, _verdict_brute_em),
-    "via-tkpm": ("em", False, _verdict_via_tkpm),
-    "algebraic": ("em", True, _verdict_algebraic),
-    "brute-cpm": ("cpm", False, _verdict_brute_cpm),
-    "cpm-via-em": ("cpm", False, _verdict_cpm_via_em),
-}
+    name: (problem, bipartite, _verdict(solve))
+    for (problem, _), (name, bipartite, solve) in SOLVERS.items() if name is not None}
 
 
 def randomized_campaign(
@@ -454,7 +464,7 @@ def randomized_campaign(
 
         # Detection bookkeeping against exact ground truth, when present.
         truth = next((v == "yes" for n_, f_, v, exact in verdicts
-                      if f_ == "em" and exact and n_ != "algebraic"), None)
+                      if f_ == "em" and exact and n_ not in yes_total), None)
         if truth:
             for name, family, verdict, _ in verdicts:
                 if name in yes_total and family == "em":

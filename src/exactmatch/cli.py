@@ -4,6 +4,12 @@ Subcommands: gen (instance generation), reduce (exact matching to top-k
 matching gadget), solve (em / tkpm / cpm / bcpm with selectable engines),
 verify (exhaustive or randomized differential campaigns).
 
+solve looks its (problem, engine) pair up in campaign.SOLVERS, the engine
+table that verify's campaigns read too, and reads the result through
+algebraic.yes_and_error. It prints "yes" and the witness when the engine
+returns one ("value" and the witness for tkpm), or "no", followed by
+"error-bound" after an algebraic "no".
+
 Exit codes: 0 yes/ok, 1 no, 2 usage or input error, 3 disagreement found.
 """
 
@@ -13,14 +19,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from .algebraic import algebraic_em_decide, bcpm_via_em, cpm_via_em
+from .algebraic import EmDecision, yes_and_error
 from .campaign import (
+    SOLVERS,
     exhaustive_sweep,
     merge_reports,
     randomized_campaign,
     report_to_json,
 )
-from .engines import brute_bcpm, brute_cpm, brute_em, brute_tkpm
 from .formats import (
     InstanceFormatError,
     format_em_instance,
@@ -31,10 +37,17 @@ from .formats import (
 )
 from .generator import GenSpec, gen_instance
 from .graphs import validate_instance
-from .reduction import decide_em_via_tkpm, format_gadget_map, gadgetize
+from .reduction import format_gadget_map, gadgetize
+
+# brute_em and decide_em_via_tkpm stay importable from here, where
+# bench/tracing.py wraps them; solve reaches them through campaign.SOLVERS
+from .engines import brute_em  # noqa: F401
+from .reduction import decide_em_via_tkpm  # noqa: F401
 
 # n -> default extra edge count for the mixed-size randomized verify
 _VERIFY_SIZES = ((2, 0), (4, 2), (6, 5), (8, 9))
+# every `solve --engine` name, in the order usage and errors list them
+_ENGINE_NAMES = ("brute", "algebraic", "via-tkpm", "via-em")
 
 
 def _read_instance(path: str, parse):
@@ -68,79 +81,30 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _solve_em(args: argparse.Namespace) -> int:
-    instance = _read_instance(args.infile, parse_em_instance)
-    if args.engine == "brute":
-        witness = brute_em(instance)
-        if witness is None:
-            print("no")
-            return 1
-        print("yes")
-        print(format_matching(witness))
-        return 0
-    if args.engine == "via-tkpm":
-        if decide_em_via_tkpm(instance):
-            print("yes")
-            return 0
-        print("no")
-        return 1
-    decision = algebraic_em_decide(instance, trials=args.trials, seed=args.seed)
-    if decision.answer:
-        print("yes")
-        return 0
-    print("no")
-    print(f"error-bound {decision.error_bound:.3g}")
-    return 1
-
-
-def _solve_tkpm(args: argparse.Namespace) -> int:
-    instance = _read_instance(args.infile, parse_tkpm_instance)
-    result = brute_tkpm(instance)
-    if result is None:
-        print("no")
-        return 1
-    matching, value = result
-    print(f"value {value}")
-    print(format_matching(matching))
-    return 0
-
-
-def _solve_parity(args: argparse.Namespace) -> int:
-    instance = _read_instance(args.infile, parse_em_instance)
-    if args.engine == "brute":
-        witness = (brute_cpm if args.problem == "cpm" else brute_bcpm)(instance)
-        if witness is None:
-            print("no")
-            return 1
-        print("yes")
-        print(format_matching(witness))
-        return 0
-    via = cpm_via_em if args.problem == "cpm" else bcpm_via_em
-    if via(instance).answer:
-        print("yes")
-        return 0
-    print("no")
-    return 1
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
-    allowed = {
-        "em": ("brute", "algebraic", "via-tkpm"),
-        "tkpm": ("brute",),
-        "cpm": ("brute", "via-em"),
-        "bcpm": ("brute", "via-em"),
-    }[args.problem]
-    if args.engine is None:
-        args.engine = "brute"
-    if args.engine not in allowed:
-        print(f"error: engine {args.engine!r} is not available for "
-              f"{args.problem} (choose from {', '.join(allowed)})", file=sys.stderr)
+    engine = args.engine or "brute"
+    row = SOLVERS.get((args.problem, engine))
+    if row is None:
+        choices = [e for e in _ENGINE_NAMES if (args.problem, e) in SOLVERS]
+        print(f"error: engine {engine!r} is not available for "
+              f"{args.problem} (choose from {', '.join(choices)})", file=sys.stderr)
         return 2
-    if args.problem == "em":
-        return _solve_em(args)
+    parse = parse_tkpm_instance if args.problem == "tkpm" else parse_em_instance
+    result = row[2](_read_instance(args.infile, parse), args.seed, args.trials)
+    yes, error = yes_and_error(result)
+    if not yes:
+        print("no")
+        if isinstance(result, EmDecision):
+            print(f"error-bound {error:.3g}")
+        return 1
     if args.problem == "tkpm":
-        return _solve_tkpm(args)
-    return _solve_parity(args)
+        result, value = result
+        print(f"value {value}")
+    else:
+        print("yes")
+    if isinstance(result, tuple):   # a witness matching
+        print(format_matching(result))
+    return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -204,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("problem", choices=("em", "tkpm", "cpm", "bcpm"))
     solve.add_argument("--in", dest="infile", required=True, help="input instance")
     solve.add_argument("--engine",
-                       choices=("brute", "algebraic", "via-tkpm", "via-em"),
+                       choices=_ENGINE_NAMES,
                        help="solver engine (default brute)")
     solve.add_argument("--trials", type=int, default=40,
                        help="trial count for the algebraic engine")

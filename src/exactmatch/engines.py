@@ -118,7 +118,9 @@ def _iter_unordered(graph: Graph) -> Iterator[Matching]:
     Forced moves (vertices with exactly one available edge) are applied
     eagerly in cascades: once before the first branch, seeded with every
     vertex of degree one, and again after every branching edge. Branching
-    happens on a most-constrained vertex.
+    happens on a most-constrained vertex. A self-loop is never matched: it
+    keeps its vertex's count at two or more, so the vertex is never forced,
+    and the branch skips it.
     """
     n = graph.n
     if n % 2:
@@ -190,7 +192,7 @@ def _iter_unordered(graph: Graph) -> Iterator[Matching]:
         if branch_avail == 0:
             return
         for eid, other in adj[branch_vertex]:
-            if covered[other]:
+            if covered[other] or other == branch_vertex:
                 continue
             dead, nmoves, covers, decs = cascade((eid, branch_vertex, other), [])
             if not dead:
@@ -241,16 +243,8 @@ def has_perfect_matching(graph: Graph, budget: Optional[EnumerationBudget] = Non
 def brute_em(instance: EmInstance) -> Optional[Matching]:
     """First perfect matching in canonical order with exactly k red edges,
     or None when no such matching exists."""
-    graph, k = instance.graph, instance.k
-    colors = graph.colors
-    best: Optional[Matching] = None
-    best_key: Optional[tuple[int, ...]] = None
-    for matching in _iter_unordered(graph):
-        if sum(1 for eid in matching if colors[eid] == RED) == k:
-            key = canonical_sort_key(graph, matching)
-            if best_key is None or key < best_key:
-                best, best_key = matching, key
-    return best
+    k = instance.k
+    return _brute_first(instance, lambda r: r == k)
 
 
 def brute_tkpm(instance: TkpmInstance) -> Optional[tuple[Matching, int]]:
@@ -286,6 +280,8 @@ def tkpm_reaches(instance: TkpmInstance, threshold: int) -> bool:
 
 
 def _brute_first(instance: EmInstance, accept) -> Optional[Matching]:
+    """First perfect matching in canonical order whose red count passes
+    accept, or None."""
     graph = instance.graph
     colors = graph.colors
     best: Optional[Matching] = None

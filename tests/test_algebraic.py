@@ -23,6 +23,7 @@ from exactmatch.algebraic import (
     find_bipartition,
     sample_isolation_weights,
     symbolic_determinant,
+    yes_and_error,
 )
 from exactmatch.engines import brute_em, enumerate_perfect_matchings
 from exactmatch.generator import GenSpec, gen_instance
@@ -68,6 +69,10 @@ def test_find_bipartition_c4():
 
 def test_find_bipartition_triangle():
     assert find_bipartition(TRIANGLE) is None
+
+
+def test_find_bipartition_self_loop_is_odd_cycle():
+    assert find_bipartition(ColoredGraph(2, ((0, 1, RED), (1, 1, BLUE)))) is None
 
 
 def test_find_bipartition_two_components_and_isolated():
@@ -334,3 +339,16 @@ def test_bipartition_sides_accessors():
     bp = Bipartition((0, 1, 1))
     assert bp.left == (0,) and bp.right == (1, 2)
     assert not bp.is_balanced
+
+
+def test_yes_and_error_reads_every_result_style():
+    decision = algebraic_em_decide(EmInstance(K2_RED, 0), trials=3, seed=0)
+    assert yes_and_error(decision) == (False, 2.0 ** -3)
+    assert yes_and_error(cpm_via_em(EmInstance(K2_RED, 1))) == (True, 0.0)
+    parity = cpm_via_em(EmInstance(C4, 1),
+                        em_decider=lambda i: algebraic_em_decide(i, trials=2, seed=0))
+    assert yes_and_error(parity) == (False, 0.25)
+    assert yes_and_error(True) == (True, 0.0)
+    assert yes_and_error(False) == (False, 0.0)
+    assert yes_and_error(()) == (True, 0.0)      # the empty witness on n = 0
+    assert yes_and_error(None) == (False, 0.0)

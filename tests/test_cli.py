@@ -1,14 +1,17 @@
 """Command-line interface tests, driven in-process through main(argv)."""
 
+import itertools
 import json
 
 import pytest
 
+import exactmatch.campaign as campaign
 import exactmatch.cli as cli
 from exactmatch.algebraic import find_bipartition
 from exactmatch.campaign import CampaignReport, Disagreement
 from exactmatch.cli import main
 from exactmatch.formats import parse_em_instance, parse_tkpm_instance
+from exactmatch.graphs import is_perfect_matching, red_count, top_k_weight
 
 K2_RED_K1 = "p em 2 1 1\ne 0 1 r\n"
 K2_RED_K0 = "p em 2 1 0\ne 0 1 r\n"
@@ -135,6 +138,59 @@ def test_solve_engine_problem_mismatch(tmp_path, capsys):
     assert main(["solve", "em", "--engine", "via-em", "--in", src]) == 2
     err = capsys.readouterr().err
     assert "not available" in err
+
+
+C6_ALTERNATING = "p em 6 6 {}\ne 0 1 r\ne 1 2 b\ne 2 3 r\ne 3 4 b\ne 4 5 r\ne 0 5 b\n"
+STAR_K0 = "p em 4 3 0\ne 0 1 r\ne 0 2 b\ne 0 3 b\n"
+# small bipartite inputs, so every engine runs on each of them
+TABLE_INPUTS = {
+    "em": [K2_RED_K1, K2_RED_K0, THREE_RED_K2S_K1, STAR_K0]
+          + [C6_ALTERNATING.format(k) for k in range(4)],
+    "tkpm": ["p tkpm 4 4 1\ne 0 1 3\ne 1 2 0\ne 2 3 2\ne 0 3 0\n",
+             "p tkpm 4 1 1\ne 0 1 5\n",
+             "p tkpm 6 6 2\ne 0 1 1\ne 1 2 4\ne 2 3 1\ne 3 4 4\ne 4 5 1\ne 0 5 4\n"],
+}
+TABLE_INPUTS["cpm"] = TABLE_INPUTS["bcpm"] = TABLE_INPUTS["em"]
+
+
+def perfect_matchings(graph):
+    """Every perfect matching, by trying every n/2-subset of the edges."""
+    return [m for m in itertools.combinations(range(len(graph.edges)), graph.n // 2)
+            if is_perfect_matching(graph, m)]
+
+
+def brute_force_answer(problem, instance):
+    """(yes, tkpm optimum or None) from a plain scan of all perfect matchings."""
+    matchings = perfect_matchings(instance.graph)
+    k = instance.k
+    if problem == "tkpm":
+        values = [top_k_weight(instance.graph.weights, m, k) for m in matchings]
+        return bool(values), max(values, default=None)
+    reds = {red_count(instance.graph, m) for m in matchings}
+    accept = {"em": lambda r: r == k,
+              "cpm": lambda r: r % 2 == k % 2,
+              "bcpm": lambda r: r <= k and r % 2 == k % 2}[problem]
+    return any(accept(r) for r in reds), None
+
+
+@pytest.mark.parametrize("problem,engine", list(campaign.SOLVERS))
+def test_every_solver_row_agrees_with_brute_force(tmp_path, capsys, problem, engine):
+    name = campaign.SOLVERS[(problem, engine)][0]
+    parse = parse_tkpm_instance if problem == "tkpm" else parse_em_instance
+    answers = set()
+    for i, text in enumerate(TABLE_INPUTS[problem]):
+        instance = parse(text)
+        yes, best = brute_force_answer(problem, instance)
+        answers.add(yes)
+        src = write(tmp_path, f"{i}.in", text)
+        code = main(["solve", problem, "--engine", engine, "--in", src, "--seed", "0"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == (0 if yes else 1), (text, out)
+        assert out[0] == (f"value {best}" if best is not None else "yes" if yes else "no")
+        if name is not None:
+            verdict, _ = campaign.ENGINES[name][2](instance, 0, 40)
+            assert (verdict == "yes") is yes, (name, text, verdict)
+    assert answers == {True, False}
 
 
 def test_solve_parse_error_carries_line_number(tmp_path, capsys):

@@ -326,3 +326,36 @@ def test_random_graphs_pass_validation():
     rng = random.Random(35)
     for _ in range(50):
         assert validate(random_colored_graph(rng)) is None
+
+
+LOOPS_ONLY = ColoredGraph(2, ((0, 0, RED), (1, 1, BLUE)))
+
+
+def test_self_loop_is_never_matched():
+    # a loop covers one vertex twice, so no perfect matching can contain it
+    assert brute_em(EmInstance(LOOPS_ONLY, 1)) is None
+    assert brute_em(EmInstance(LOOPS_ONLY, 0)) is None
+    assert has_perfect_matching(LOOPS_ONLY) is False
+    assert has_perfect_matching(LOOPS_ONLY, EnumerationBudget(max_nodes=100)) is False
+    assert list(_iter_unordered(LOOPS_ONLY)) == []
+    assert brute_cpm(EmInstance(LOOPS_ONLY, 1)) is None
+
+
+def test_unordered_engine_ignores_self_loops_like_the_canonical_engine():
+    rng = random.Random(93)
+    with_loops = 0
+    for _ in range(400):
+        g, _ = random_sparse_weighted_graph(rng)
+        if not g.n:
+            continue
+        loops = tuple((v, v, rng.randint(0, 4))
+                      for v in rng.sample(range(g.n), rng.randint(1, g.n)))
+        g = WeightedGraph(g.n, g.edges + loops)
+        with_loops += 1
+        unordered = list(_iter_unordered(g))
+        assert len(unordered) == len(set(unordered))
+        assert set(unordered) == set(_iter_canonical(g, None)), g
+        k = rng.randint(0, g.n // 2 + 1)
+        assert brute_tkpm(TkpmInstance(g, k)) == brute_tkpm(
+            TkpmInstance(WeightedGraph(g.n, g.edges[:len(g.edges) - len(loops)]), k))
+    assert with_loops > 300
