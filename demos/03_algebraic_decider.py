@@ -3,9 +3,11 @@ A randomized algebraic decider for bipartite graphs
 ===================================================
 
 On bipartite graphs, exact matching reduces to asking whether one
-coefficient of a determinant is nonzero. Random edge weights make the
-coefficient survive cancellation with probability at least 1/2 on yes
-instances, so a handful of trials drives the one-sided error down fast.
+coefficient of a determinant is nonzero. The decider substitutes random
+values from a prime field GF(p) for the edges; by the Schwartz-Zippel
+lemma the coefficient of a yes instance survives with probability at least
+1 - (n/2)/p per trial, and "no" answers report the conservative one-sided
+error bound 2^-trials.
 """
 
 from exactmatch import (
@@ -28,16 +30,18 @@ c4 = ColoredGraph(4, ((0, 1, RED), (1, 2, BLUE), (2, 3, BLUE), (0, 3, BLUE)))
 bp = find_bipartition(c4)
 print("sides:", bp.sides, "left:", bp.left, "right:", bp.right)
 
-# The symbolic determinant in the red-marker variable y: the coefficient
-# of y^j collects (signed) powers of two from perfect matchings with j red
-# edges. Here both matchings are visible: one blue-blue, one through red.
+# The exact symbolic determinant in the red-marker variable y, with
+# isolation weights 2^w, is the reference the decider is tested against:
+# the coefficient of y^j collects (signed) powers of two from perfect
+# matchings with j red edges. Here both matchings are visible: one
+# blue-blue, one through red.
 weights = sample_isolation_weights(len(c4.edges), 0)
 det = symbolic_determinant(c4, bp, weights)
 print("weights:", weights)
 print("determinant coefficients by red count:",
       [det.coeff(j) for j in range(3)])
 
-# Cancellation is the failure mode the random weights guard against: with
+# Cancellation is the failure mode random values guard against: with
 # equal weights on an all-blue 4-cycle, the two matchings have opposite
 # sign and identical weight, and the determinant collapses to zero even
 # though perfect matchings exist. A zero never certifies "no".
@@ -46,14 +50,17 @@ flat = symbolic_determinant(all_blue, find_bipartition(all_blue), (1, 1, 1, 1))
 print("all-blue C4 with flat weights, determinant:", flat.coeffs or (0,))
 
 # The full decider: yes answers are certified, no answers carry an error
-# bound of 2^-trials. The transcript shows each trial's draw and outcome.
+# bound of 2^-trials. Each trial evaluates det(B + yR) over GF(p) at
+# y = 0..min(n/2, red edges) and interpolates; the transcript shows each
+# trial's field values and outcome.
 decision = algebraic_em_decide(EmInstance(c4, 1), trials=8, seed=4)
 print("decide k=1:", decision.answer, "after", decision.trials_run, "trial(s)")
 decision = algebraic_em_decide(EmInstance(c4, 2), trials=8, seed=4)
 print("decide k=2:", decision.answer, "error bound", decision.error_bound)
 
-# Measuring the per-trial detection rate on generated yes instances: the
-# 1/2 guarantee is very pessimistic in practice.
+# Measuring the per-trial detection rate on generated yes instances: each
+# trial misses with probability at most (n/2)/p, about 3e-9 here, so the
+# reported 2^-trials bound is very conservative.
 hits = 0
 yes_total = 0
 for seed in range(300):

@@ -1,17 +1,26 @@
 """Randomized algebraic decision of exact matching on bipartite graphs.
 
-Per trial, every edge draws an independent uniform weight w in {1..2m} and
-the left-by-right matrix with entry 2^w * y^(1 if the edge is red) is built;
-its exact determinant in y is a signed sum over perfect matchings, grouped
-by red count. A nonzero coefficient at y^k certifies a matching with k red
-edges, so a "yes" is always sound. On a yes-instance, a uniquely isolated
-minimum-weight matching makes the smallest power of two in the coefficient
-uncancellable, which happens with probability at least 1/2 per trial; "no"
-answers therefore carry one-sided error at most 2^-trials.
+Per trial, every edge draws an independent uniform value x_e in GF(p), for
+the prime p = 2^30 - 35, and two left-by-right matrices over GF(p) are
+built: B from the blue edges and R from the red edges, with x_e in the
+cell of edge e (Lovasz 1979). det(B + yR) is a signed sum over perfect
+matchings, grouped by red count: its y^k coefficient, as a polynomial in
+the x_e, has one distinct multilinear monomial per perfect matching with
+k red edges, so it is nonzero exactly when such a matching exists. Each
+trial evaluates the determinant by modular elimination at y = 0..d, where
+d bounds its degree in y, and recovers the coefficients by Newton
+interpolation. A nonzero y^k coefficient certifies a matching with k red
+edges, so a "yes" is always sound. By the Schwartz-Zippel lemma a trial
+misses a yes-instance with probability at most (n/2)/p; "no" answers
+report the conservative one-sided error bound 2^-trials.
 
-Cancellation is real: matchings of equal red count and opposite sign can
-zero a coefficient for an unlucky weight draw, so a zero determinant never
-proves the absence of a perfect matching.
+Cancellation is real: an unlucky draw can zero the coefficient of a
+nonzero polynomial, so a zero value never proves the absence of a
+perfect matching.
+
+symbolic_determinant keeps the exact big-integer route, with isolation
+weights 2^w in place of field values, as a reference that tests and
+demos compare against.
 
 Parity matching (red count congruent to k mod 2, optionally bounded by k)
 is decided here as well, by one exact-matching query per feasible red count
@@ -32,6 +41,7 @@ from .graphs import RED, ColoredGraph, EmInstance, Matching
 from .polynomials import Polynomial, determinant
 
 DEFAULT_TRIALS = 40
+PRIME = (1 << 30) - 35      # below 2^30, so every residue is one CPython digit
 
 WeightAssignment = tuple[int, ...]
 
@@ -62,9 +72,10 @@ class EmDecision:
     A True answer is certified. A False answer is "probably no" with the
     stated one-sided error bound, which stays positive however many trials
     ran; it is exact (bound 0.0, trials_run 0) only when the instance
-    structurally admits no perfect matching. The transcript records, per
-    trial, the sampled weights and whether the inspected coefficient was
-    nonzero.
+    structurally admits no perfect matching with k red edges (unequal
+    sides, or k outside 0..n/2). The transcript records, per trial, the
+    GF(p) values drawn for the edges and whether the inspected coefficient
+    was nonzero.
     """
 
     answer: bool
@@ -123,6 +134,27 @@ def sample_isolation_weights(m: int, rng: Union[int, random.Random, None] = None
     return tuple(rng.randint(1, 2 * m) for _ in range(m))
 
 
+def _cells(graph: ColoredGraph, bipartition: Bipartition) -> list[tuple[int, int, bool]]:
+    """(row, column, is red) of each edge's matrix cell, in edge order.
+
+    Rows are the left-side vertices in ascending id order, columns the
+    right side.
+    """
+    left, right = bipartition.left, bipartition.right
+    if len(left) != len(right):
+        raise ValueError("bipartition sides differ in size, determinant undefined")
+    row = {v: i for i, v in enumerate(left)}
+    col = {v: j for j, v in enumerate(right)}
+    sides = bipartition.sides
+    cells = []
+    for eid, (u, v, color) in enumerate(graph.edges):
+        if sides[u] == sides[v]:
+            raise ValueError(f"bipartition does not separate edge {eid}")
+        lu, rv = (u, v) if sides[u] == 0 else (v, u)
+        cells.append((row[lu], col[rv], color == RED))
+    return cells
+
+
 def symbolic_determinant(
         graph: ColoredGraph,
         bipartition: Bipartition,
@@ -136,26 +168,80 @@ def symbolic_determinant(
     coefficient of y^j is the signed sum of 2^(total weight) over perfect
     matchings with exactly j red edges.
     """
-    left, right = bipartition.left, bipartition.right
-    if len(left) != len(right):
-        raise ValueError("bipartition sides differ in size, determinant undefined")
+    cells = _cells(graph, bipartition)
     if len(weights) != len(graph.edges):
         raise ValueError("need exactly one weight per edge")
-    row = {v: i for i, v in enumerate(left)}
-    col = {v: j for j, v in enumerate(right)}
-    sides = bipartition.sides
-    size = len(left)
+    size = len(bipartition.left)
     zero = Polynomial.zero()
     matrix = [[zero] * size for _ in range(size)]
-    for eid, (u, v, color) in enumerate(graph.edges):
-        if sides[u] == sides[v]:
-            raise ValueError(f"bipartition does not separate edge {eid}")
-        lu, rv = (u, v) if sides[u] == 0 else (v, u)
-        entry = Polynomial.monomial(2 ** weights[eid], 1 if color == RED else 0)
-        r, c = row[lu], col[rv]
+    for (r, c, red), w in zip(cells, weights):
+        entry = Polynomial.monomial(2 ** w, 1 if red else 0)
         # parallel edges share a matrix entry, so their monomials add up
         matrix[r][c] = entry if matrix[r][c] is zero else matrix[r][c] + entry
     return determinant(matrix)
+
+
+def _determinant_mod(matrix: list[list[int]]) -> int:
+    """Determinant over GF(PRIME) by Gaussian elimination that drops the
+    pivot row and column after each step; consumes matrix."""
+    p = PRIME
+    det = 1
+    while matrix:
+        for i, pivot_row in enumerate(matrix):
+            if pivot_row[0]:
+                break
+        else:
+            return 0
+        del matrix[i]
+        if i % 2:
+            det = -det      # row i moved to the top, past i rows
+        pivot = pivot_row[0]
+        det = det * pivot % p
+        inverse = pow(pivot, -1, p)
+        tail = pivot_row[1:]
+        reduced = []
+        for row in matrix:
+            factor = -row.pop(0) * inverse % p
+            reduced.append([(a + factor * b) % p for a, b in zip(row, tail)] if factor else row)
+        matrix = reduced
+    return det
+
+
+def _interpolate(points: list[int]) -> list[int]:
+    """Coefficients, lowest power first, of the polynomial of degree below
+    len(points) that takes the value points[y] at y = 0, 1, ... over
+    GF(PRIME), by Newton's divided differences."""
+    top = len(points) - 1
+    diffs = list(points)
+    for j in range(1, top + 1):
+        inverse = pow(j, -1, PRIME)
+        for i in range(top, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) * inverse % PRIME
+    # Horner on the Newton form diffs[0] + y (diffs[1] + (y - 1) (diffs[2] + ...))
+    coeffs: list[int] = []
+    for i in range(top, -1, -1):
+        shifted = [0] + coeffs
+        for t, c in enumerate(coeffs):
+            shifted[t] -= i * c
+        shifted[0] += diffs[i]
+        coeffs = [c % PRIME for c in shifted]
+    return coeffs
+
+
+def _field_coefficients(cells: list[tuple[int, int, bool]], values: WeightAssignment,
+                        size: int, degree: int) -> list[int]:
+    """Coefficients of det(B + yR) over GF(PRIME) up to y^degree, where
+    the value of each blue edge adds into its cell of B and of each red
+    edge into its cell of R; degree must bound the determinant's degree."""
+    blue = [[0] * size for _ in range(size)]
+    red = [[0] * size for _ in range(size)]
+    for (r, c, is_red), x in zip(cells, values):
+        matrix = red if is_red else blue
+        matrix[r][c] = (matrix[r][c] + x) % PRIME
+    return _interpolate([
+        _determinant_mod([[(b + y * q) % PRIME for b, q in zip(blue_row, red_row)]
+                          for blue_row, red_row in zip(blue, red)])
+        for y in range(degree + 1)])
 
 
 def algebraic_em_decide(
@@ -174,22 +260,27 @@ def algebraic_em_decide(
     bipartition = find_bipartition(graph)
     if bipartition is None:
         raise ValueError("graph is not bipartite; use brute_em instead")
-    if not bipartition.is_balanced:
-        # Unequal sides cannot be perfectly matched, so "no" is exact here.
+    if not bipartition.is_balanced or not 0 <= k <= graph.n // 2:
+        # Unequal sides cannot be perfectly matched, and no perfect matching
+        # has fewer than 0 or more than n/2 red edges, so "no" is exact here.
         return EmDecision(answer=False, error_bound=0.0, trials_run=0, transcript=())
-    m = len(graph.edges)
+    cells = _cells(graph, bipartition)
+    size = len(bipartition.left)
+    # a perfect matching has n/2 edges, so the determinant's degree in y is
+    # at most min(n/2, red edges)
+    degree = min(size, sum(red for _, _, red in cells))
     rng = random.Random(seed)
     transcript: list[tuple[WeightAssignment, bool]] = []
     for trial in range(trials):
-        weights = sample_isolation_weights(m, rng) if m else ()
-        det = symbolic_determinant(graph, bipartition, weights)
-        hit = det.coeff(k) != 0
-        transcript.append((weights, hit))
+        values = tuple(rng.randrange(PRIME) for _ in cells)
+        hit = k <= degree and _field_coefficients(cells, values, size, degree)[k] != 0
+        transcript.append((values, hit))
         if hit:
             return EmDecision(answer=True, error_bound=0.0,
                               trials_run=trial + 1, transcript=tuple(transcript))
-    # 2^-trials, floored at the smallest positive float so that a long run
-    # of misses never reads as an exact "no"
+    # 2^-trials bounds the true ((n/2)/p)^trials from above; it is floored at
+    # the smallest positive float so that a long run of misses never reads
+    # as an exact "no"
     return EmDecision(answer=False, error_bound=math.ldexp(1.0, -min(trials, 1074)),
                       trials_run=trials, transcript=tuple(transcript))
 

@@ -223,6 +223,15 @@ def test_algebraic_decide_unbalanced_sides_exact_no():
                                   trials_run=0, transcript=())
 
 
+@pytest.mark.parametrize("k", [-1, 2, 5])
+def test_algebraic_decide_red_count_out_of_range_exact_no(k):
+    # no perfect matching of n vertices has fewer than 0 or more than n/2
+    # red edges, so no trial is needed and the "no" is exact
+    decision = algebraic_em_decide(EmInstance(K2_RED, k), trials=5, seed=0)
+    assert decision == EmDecision(answer=False, error_bound=0.0,
+                                  trials_run=0, transcript=())
+
+
 def test_algebraic_decide_rejects_non_bipartite():
     with pytest.raises(ValueError, match="not bipartite"):
         algebraic_em_decide(EmInstance(TRIANGLE, 0), trials=1, seed=0)
@@ -281,6 +290,66 @@ def test_error_bound_never_underflows():
     decision = algebraic_em_decide(EmInstance(k2_blue, 1), trials=1100, seed=0)
     assert decision.answer is False and decision.trials_run == 1100
     assert decision.error_bound == math.ldexp(1.0, -1074) > 0.0
+
+
+def crosscheck_graph(family, seed):
+    """A seeded bipartite graph on at most 10 vertices and 14 edges."""
+    rng = random.Random(seed)
+    n = rng.choice((2, 4, 6, 8, 10))
+    extra = rng.randint(0, min(8, GenSpec(n=n, bipartite=True).max_extra_edges()))
+    red_prob = {"all_blue": 0.0, "all_red": 1.0}.get(family, 0.4)
+    edges = list(gen_instance(GenSpec(n=n, extra_edges=extra, seed=seed,
+                                      bipartite=True, red_prob=red_prob)).graph.edges)
+    if family == "thinned":       # often leaves no perfect matching
+        del edges[rng.randrange(len(edges))]
+    elif family == "parallel":    # a red and a blue edge on one vertex pair
+        u, v, color = rng.choice(edges)
+        edges.append((u, v, BLUE if color == RED else RED))
+    return ColoredGraph(n, tuple(edges))
+
+
+@pytest.mark.parametrize("family", ["mixed", "thinned", "parallel", "all_blue", "all_red"])
+def test_field_support_matches_enumeration_and_symbolic_determinant(family):
+    # With weight 2^e on edge e, each perfect matching M contributes
+    # +-2^(sum of 2^e over M), a power of two no other matching shares, so
+    # no coefficient of the symbolic determinant can cancel: its support is
+    # exact. The decider, asked at every k with one trial and one seed,
+    # inspects one GF(p) coefficient vector.
+    graphs = [ColoredGraph(0, ())] + [crosscheck_graph(family, seed) for seed in range(210)]
+    for seed, graph in enumerate(graphs):
+        h = graph.n // 2
+        field = {k for k in range(-1, h + 2)
+                 if algebraic_em_decide(EmInstance(graph, k), trials=1, seed=seed).answer}
+        enumerated = {sum(graph.edges[e][2] == RED for e in matching)
+                      for matching in enumerate_perfect_matchings(graph)}
+        bp = find_bipartition(graph)
+        symbolic = set()
+        if bp.is_balanced:
+            det = symbolic_determinant(graph, bp, tuple(1 << e for e in range(len(graph.edges))))
+            symbolic = {k for k in range(h + 1) if det.coeff(k) != 0}
+        assert field == enumerated == symbolic, (family, seed, graph)
+    empty = algebraic_em_decide(EmInstance(ColoredGraph(0, ()), 0), trials=3, seed=0)
+    assert empty.answer is True and empty.trials_run == 1
+
+
+@pytest.mark.parametrize("s", [1, 8, 15])
+def test_algebraic_decide_red_set_graph_n32(s):
+    # Red edges are exactly those at a set S of left vertices; a perfect
+    # matching covers every left vertex once, so each has |S| red edges.
+    rng = random.Random(s)
+    n, h = 32, 16
+    right = list(range(h, n))
+    rng.shuffle(right)
+    pairs = {(i, right[i]) for i in range(h)}
+    while len(pairs) < round(3.5 * n):
+        pairs.add((rng.randrange(h), rng.randrange(h, n)))
+    red_left = set(rng.sample(range(h), s))
+    graph = ColoredGraph(n, tuple((u, v, RED if u in red_left else BLUE)
+                                  for u, v in sorted(pairs)))
+    assert algebraic_em_decide(EmInstance(graph, s), trials=3, seed=s).answer
+    for k in (s - 1, s + 1):
+        decision = algebraic_em_decide(EmInstance(graph, k), trials=3, seed=s)
+        assert not decision.answer and decision.trials_run == 3
 
 
 def test_cpm_via_em_examples():
