@@ -260,20 +260,24 @@ def algebraic_em_decide(
     bipartition = find_bipartition(graph)
     if bipartition is None:
         raise ValueError("graph is not bipartite; use brute_em instead")
-    if not bipartition.is_balanced or not 0 <= k <= graph.n // 2:
-        # Unequal sides cannot be perfectly matched, and no perfect matching
-        # has fewer than 0 or more than n/2 red edges, so "no" is exact here.
-        return EmDecision(answer=False, error_bound=0.0, trials_run=0, transcript=())
+    exact_no = EmDecision(answer=False, error_bound=0.0, trials_run=0, transcript=())
+    if not bipartition.is_balanced:
+        # unequal sides cannot be perfectly matched
+        return exact_no
     cells = _cells(graph, bipartition)
     size = len(bipartition.left)
     # a perfect matching has n/2 edges, so the determinant's degree in y is
     # at most min(n/2, red edges)
     degree = min(size, sum(red for _, _, red in cells))
+    if not 0 <= k <= degree:
+        # no perfect matching has fewer than 0 red edges, or more than n/2
+        # or than the graph has
+        return exact_no
     rng = random.Random(seed)
     transcript: list[tuple[WeightAssignment, bool]] = []
     for trial in range(trials):
         values = tuple(rng.randrange(PRIME) for _ in cells)
-        hit = k <= degree and _field_coefficients(cells, values, size, degree)[k] != 0
+        hit = _field_coefficients(cells, values, size, degree)[k] != 0
         transcript.append((values, hit))
         if hit:
             return EmDecision(answer=True, error_bound=0.0,

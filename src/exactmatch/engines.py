@@ -6,20 +6,19 @@ backtracking search produces when it always branches on the lowest-id
 uncovered vertex and tries its incident edges in ascending edge-id order),
 so witnesses and tie-breaks are reproducible across runs.
 
-Two search engines sit underneath. The default one propagates forced moves
-(any uncovered vertex left with a single available edge) and branches on a
-most-constrained vertex, which keeps subdivision-heavy graphs cheap. Before
-its first branch it settles every forced move in one pass seeded with all
-degree-one vertices, so pendant paths and isolated edges cost no search
-depth; it stops at once on odd n or a vertex without edges. Its results
-are sorted into canonical order before being yielded. When a budget is
-given, a plain canonical-order backtracking search runs instead so that
-"matchings visited" has its literal streaming meaning; both engines yield
-identical sequences on every graph they both complete.
+One search yields that order directly. It also settles forced moves (any
+uncovered vertex left with a single available edge) in cascades, once
+before the first branch and again after every branching edge. A forced
+edge lies in every completion of the current partial matching, and every
+vertex below the branch vertex is already covered, so all completions
+share their canonical-key prefix and the next key entry is the branch
+edge: forcing never reorders the output. The search keeps its state on an
+explicit stack, so deep graphs cost no recursion depth, and it counts
+budgets itself.
 
-The TkPM decision form, tkpm_reaches, walks the default engine lazily and
-stops at the first perfect matching that reaches a threshold; brute_tkpm is
-the optimisation oracle that ranks every matching.
+The TkPM decision form, tkpm_reaches, stops at the first perfect matching
+that reaches a threshold; brute_tkpm is the optimisation oracle that ranks
+every matching.
 """
 
 from __future__ import annotations
@@ -51,7 +50,12 @@ class BudgetExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Caps on the enumeration effort. A cap of None means unlimited."""
+    """Caps on the enumeration effort. A cap of None means unlimited.
+
+    max_matchings caps the matchings yielded; max_nodes caps the edges the
+    search places, forced or branched, over the whole search (an edge placed
+    again after backtracking counts again).
+    """
 
     max_matchings: Optional[int] = None
     max_nodes: Optional[int] = None
@@ -74,10 +78,27 @@ def canonical_sort_key(graph: Graph, matching: Matching) -> tuple[int, ...]:
     return tuple(eid for _, eid in sorted((edges[eid][0], eid) for eid in matching))
 
 
-def _iter_canonical(graph: Graph, budget: Optional[EnumerationBudget]) -> Iterator[Matching]:
-    """Streaming canonical-order backtracking search with budget accounting."""
+def _iter_unordered(graph: Graph,
+                    budget: Optional[EnumerationBudget] = None) -> Iterator[Matching]:
+    """The perfect-matching search, yielding in canonical order.
+
+    The name predates the canonical order and stays because the
+    benchmark's tracer wraps this function by name, calling it with the
+    graph alone, to count the matchings visited.
+
+    Forced moves are applied in cascades: once before the first branch,
+    seeded with every vertex of degree one, and again after every branching
+    edge. A self-loop is never matched: it keeps its vertex's count at two
+    or more, so the vertex is never forced, and the branch skips it.
+    """
     n = graph.n
+    if n % 2:
+        return
     adj = graph.adjacency
+    edges = graph.edges
+    avail = [len(a) for a in adj]
+    if 0 in avail:
+        return
     max_matchings = budget.max_matchings if budget else None
     max_nodes = budget.max_nodes if budget else None
     covered = bytearray(n)
@@ -85,63 +106,14 @@ def _iter_canonical(graph: Graph, budget: Optional[EnumerationBudget]) -> Iterat
     yielded = 0
     nodes = 0
 
-    def walk(start: int) -> Iterator[Matching]:
-        nonlocal yielded, nodes
-        v = start
-        while v < n and covered[v]:
-            v += 1
-        if v == n:
-            if max_matchings is not None and yielded == max_matchings:
-                raise BudgetExhausted(yielded, nodes)
-            yielded += 1
-            yield tuple(sorted(chosen))
-            return
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise BudgetExhausted(yielded, nodes)
-        covered[v] = 1
-        for eid, other in adj[v]:
-            if not covered[other]:
-                covered[other] = 1
-                chosen.append(eid)
-                yield from walk(v + 1)
-                chosen.pop()
-                covered[other] = 0
-        covered[v] = 0
-
-    yield from walk(0)
-
-
-def _iter_unordered(graph: Graph) -> Iterator[Matching]:
-    """Fast search over all perfect matchings, in no particular order.
-
-    Forced moves (vertices with exactly one available edge) are applied
-    eagerly in cascades: once before the first branch, seeded with every
-    vertex of degree one, and again after every branching edge. Branching
-    happens on a most-constrained vertex. A self-loop is never matched: it
-    keeps its vertex's count at two or more, so the vertex is never forced,
-    and the branch skips it.
-    """
-    n = graph.n
-    if n % 2:
-        return
-    adj = graph.adjacency
-    avail = [len(a) for a in adj]
-    if 0 in avail:
-        return
-    covered = bytearray(n)
-    chosen: list[int] = []
-    uncovered_count = n
-
-    def cascade(next_edge: Optional[tuple[int, int, int]], queue: list[int]):
-        """Apply next_edge (if any), then every forced move among the
-        queued vertices and those the moves leave with one available edge.
-        Returns the dead flag plus the undo log (moves made, vertices
-        covered, availability decrements)."""
-        nonlocal uncovered_count
-        covers: list[int] = []
+    def settle(next_edge: Optional[tuple[int, int, int]], queue: list[int]):
+        """Place next_edge (if any), then every forced move among the queued
+        vertices and those the moves leave with one available edge.
+        Returns the undo log (length of chosen before, vertices whose count
+        was decremented) and whether some vertex was left without edges."""
+        nonlocal nodes
         decs: list[int] = []
-        nmoves = 0
+        log = (len(chosen), decs)
         while True:
             while next_edge is None and queue:
                 w = queue.pop()
@@ -154,15 +126,15 @@ def _iter_unordered(graph: Graph) -> Iterator[Matching]:
                         next_edge = (e2, w, x)
                         break
             if next_edge is None:
-                return False, nmoves, covers, decs
+                return log, False
             eid, a, b = next_edge
             next_edge = None
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                raise BudgetExhausted(yielded, nodes)
             covered[a] = 1
             covered[b] = 1
-            covers += (a, b)
-            uncovered_count -= 2
             chosen.append(eid)
-            nmoves += 1
             for x in (a, b):
                 for _, w in adj[x]:
                     if not covered[w]:
@@ -170,43 +142,59 @@ def _iter_unordered(graph: Graph) -> Iterator[Matching]:
                         avail[w] = left
                         decs.append(w)
                         if left == 0:
-                            return True, nmoves, covers, decs
+                            return log, True
                         if left == 1:
                             queue.append(w)
 
-    def walk() -> Iterator[Matching]:
-        nonlocal uncovered_count
-        if uncovered_count == 0:
-            yield tuple(sorted(chosen))
-            return
-        branch_vertex = -1
-        branch_avail = 1 << 30
-        for v in range(n):
-            if not covered[v]:
-                a = avail[v]
-                if a < branch_avail:
-                    branch_avail = a
-                    branch_vertex = v
-                    if a <= 1:
-                        break
-        if branch_avail == 0:
-            return
-        for eid, other in adj[branch_vertex]:
-            if covered[other] or other == branch_vertex:
-                continue
-            dead, nmoves, covers, decs = cascade((eid, branch_vertex, other), [])
-            if not dead:
-                yield from walk()
-            for w in decs:
-                avail[w] += 1
-            for x in covers:
-                covered[x] = 0
-            uncovered_count += len(covers)
-            del chosen[len(chosen) - nmoves:]
+    def undo(log) -> None:
+        mark, decs = log
+        for w in decs:
+            avail[w] += 1
+        for eid in chosen[mark:]:
+            edge = edges[eid]
+            covered[edge[0]] = 0
+            covered[edge[1]] = 0
+        del chosen[mark:]
 
-    dead = cascade(None, [v for v in range(n) if avail[v] == 1])[0]
-    if not dead:
-        yield from walk()
+    def advance(frame: list) -> bool:
+        """Take back the frame's current branching edge and place the next
+        one that leaves no vertex without edges; False when none is left."""
+        b, i, log = frame
+        if log is not None:
+            undo(log)
+        incident = adj[b]
+        while i < len(incident):
+            eid, other = incident[i]
+            i += 1
+            if other != b and not covered[other]:
+                log, dead = settle((eid, b, other), [])
+                if not dead:
+                    frame[1] = i
+                    frame[2] = log
+                    return True
+                undo(log)
+        return False
+
+    if settle(None, [v for v in range(n) if avail[v] == 1])[1]:
+        return
+    stack: list[list] = []   # frames [branch vertex, next adjacency index, undo log]
+    v = 0
+    while True:
+        while v < n and covered[v]:
+            v += 1
+        if v < n:
+            stack.append([v, 0, None])
+        else:
+            if max_matchings is not None and yielded == max_matchings:
+                raise BudgetExhausted(yielded, nodes)
+            yielded += 1
+            yield tuple(sorted(chosen))
+        while stack and not advance(stack[-1]):
+            stack.pop()
+        if not stack:
+            return
+        # every vertex up to the branch vertex is covered now
+        v = stack[-1][0] + 1
 
 
 def enumerate_perfect_matchings(
@@ -220,24 +208,17 @@ def enumerate_perfect_matchings(
     cap is hit, BudgetExhausted is raised mid-iteration, so a consumer can
     always tell "complete" apart from "truncated".
     """
-    if graph.n % 2:
-        return
-    if budget is not None:
-        yield from _iter_canonical(graph, budget)
-        return
-    found = list(_iter_unordered(graph))
-    found.sort(key=lambda m: canonical_sort_key(graph, m))
-    yield from found
+    # the benchmark's tracer wraps _iter_unordered as a function of the
+    # graph alone
+    if budget is None:
+        return _iter_unordered(graph)
+    return _iter_unordered(graph, budget)
 
 
 def has_perfect_matching(graph: Graph, budget: Optional[EnumerationBudget] = None) -> bool:
     """True iff the graph has at least one perfect matching (early exit on
     the first one found). Budget exhaustion propagates."""
-    if graph.n % 2:
-        return False
-    if budget is not None:
-        return next(_iter_canonical(graph, budget), None) is not None
-    return next(_iter_unordered(graph), None) is not None
+    return next(enumerate_perfect_matchings(graph, budget), None) is not None
 
 
 def brute_em(instance: EmInstance) -> Optional[Matching]:
@@ -253,18 +234,13 @@ def brute_tkpm(instance: TkpmInstance) -> Optional[tuple[Matching, int]]:
     Ties go to the first maximizer in canonical enumeration order. Returns
     None when the graph has no perfect matching.
     """
-    graph, k = instance.graph, instance.k
-    weights = graph.weights
+    weights, k = instance.graph.weights, instance.k
     best: Optional[Matching] = None
-    best_key: Optional[tuple[int, ...]] = None
     best_value = -1
-    for matching in _iter_unordered(graph):
+    for matching in enumerate_perfect_matchings(instance.graph):
         value = top_k_weight(weights, matching, k)
-        if value < best_value:
-            continue
-        key = canonical_sort_key(graph, matching)
-        if value > best_value or best_key is None or key < best_key:
-            best, best_key, best_value = matching, key, value
+        if value > best_value:
+            best, best_value = matching, value
     if best is None:
         return None
     return best, best_value
@@ -272,26 +248,21 @@ def brute_tkpm(instance: TkpmInstance) -> Optional[tuple[Matching, int]]:
 
 def tkpm_reaches(instance: TkpmInstance, threshold: int) -> bool:
     """Decision form of TkPM: True iff some perfect matching has top-k
-    weight at least threshold. Stops at the first such matching, in no
-    particular order, so it ranks nothing and finds no optimum."""
+    weight at least threshold. Stops at the first such matching, so it
+    ranks nothing and finds no optimum."""
     weights, k = instance.graph.weights, instance.k
     return any(top_k_weight(weights, matching, k) >= threshold
-               for matching in _iter_unordered(instance.graph))
+               for matching in enumerate_perfect_matchings(instance.graph))
 
 
 def _brute_first(instance: EmInstance, accept) -> Optional[Matching]:
     """First perfect matching in canonical order whose red count passes
     accept, or None."""
-    graph = instance.graph
-    colors = graph.colors
-    best: Optional[Matching] = None
-    best_key: Optional[tuple[int, ...]] = None
-    for matching in _iter_unordered(graph):
+    colors = instance.graph.colors
+    for matching in enumerate_perfect_matchings(instance.graph):
         if accept(sum(1 for eid in matching if colors[eid] == RED)):
-            key = canonical_sort_key(graph, matching)
-            if best_key is None or key < best_key:
-                best, best_key = matching, key
-    return best
+            return matching
+    return None
 
 
 def brute_cpm(instance: EmInstance) -> Optional[Matching]:

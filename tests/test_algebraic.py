@@ -32,6 +32,8 @@ from exactmatch.polynomials import Polynomial
 
 C4 = ColoredGraph(4, ((0, 1, BLUE), (1, 2, BLUE), (2, 3, BLUE), (0, 3, BLUE)))
 K2_RED = ColoredGraph(2, ((0, 1, RED),))
+# perfect matchings {0, 2} with two red edges and {1, 3} with none
+C4_RED_02 = ColoredGraph(4, ((0, 1, RED), (1, 2, BLUE), (2, 3, RED), (0, 3, BLUE)))
 TRIANGLE = ColoredGraph(3, ((0, 1, BLUE), (0, 2, BLUE), (1, 2, BLUE)))
 
 
@@ -232,6 +234,17 @@ def test_algebraic_decide_red_count_out_of_range_exact_no(k):
                                   trials_run=0, transcript=())
 
 
+@pytest.mark.parametrize("graph, k", [
+    (ColoredGraph(2, ((0, 1, BLUE),)), 1),
+    (ColoredGraph(4, ((0, 1, RED), (1, 2, BLUE), (2, 3, BLUE), (0, 3, BLUE))), 2),
+])
+def test_algebraic_decide_k_above_red_edges_exact_no(graph, k):
+    # a perfect matching has no more red edges than the graph has
+    decision = algebraic_em_decide(EmInstance(graph, k), trials=5, seed=0)
+    assert decision == EmDecision(answer=False, error_bound=0.0,
+                                  trials_run=0, transcript=())
+
+
 def test_algebraic_decide_rejects_non_bipartite():
     with pytest.raises(ValueError, match="not bipartite"):
         algebraic_em_decide(EmInstance(TRIANGLE, 0), trials=1, seed=0)
@@ -286,8 +299,7 @@ def test_default_trials_error_bound():
 def test_error_bound_never_underflows():
     # 2.0 ** -trials is 0.0 from 1075 trials on; a "no" must still carry a
     # positive bound, the smallest one a float can hold
-    k2_blue = ColoredGraph(2, ((0, 1, BLUE),))
-    decision = algebraic_em_decide(EmInstance(k2_blue, 1), trials=1100, seed=0)
+    decision = algebraic_em_decide(EmInstance(K2_RED, 0), trials=1100, seed=0)
     assert decision.answer is False and decision.trials_run == 1100
     assert decision.error_bound == math.ldexp(1.0, -1074) > 0.0
 
@@ -379,7 +391,7 @@ def test_cpm_via_em_accepts_plain_decider_styles():
 
 
 def test_cpm_via_em_union_bound_error():
-    inst = EmInstance(C4, 1)  # all blue, odd parity is impossible
+    inst = EmInstance(C4_RED_02, 1)  # both matchings have even red counts
     decider = lambda i: algebraic_em_decide(i, trials=4, seed=0)
     decision = cpm_via_em(inst, em_decider=decider)
     assert decision.answer is False
@@ -414,7 +426,7 @@ def test_yes_and_error_reads_every_result_style():
     decision = algebraic_em_decide(EmInstance(K2_RED, 0), trials=3, seed=0)
     assert yes_and_error(decision) == (False, 2.0 ** -3)
     assert yes_and_error(cpm_via_em(EmInstance(K2_RED, 1))) == (True, 0.0)
-    parity = cpm_via_em(EmInstance(C4, 1),
+    parity = cpm_via_em(EmInstance(C4_RED_02, 1),
                         em_decider=lambda i: algebraic_em_decide(i, trials=2, seed=0))
     assert yes_and_error(parity) == (False, 0.25)
     assert yes_and_error(True) == (True, 0.0)

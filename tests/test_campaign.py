@@ -333,5 +333,5 @@ def test_randomized_campaign_is_replayable():
 
 
 def test_algebraic_no_after_many_trials_is_not_exact():
-    k2_blue = parse_em_instance("p em 2 1 1\ne 0 1 b\n")
-    assert campaign.ENGINES["algebraic"][2](k2_blue, 0, 1100) == ("probably-no", False)
+    k2_red = parse_em_instance("p em 2 1 0\ne 0 1 r\n")
+    assert campaign.ENGINES["algebraic"][2](k2_red, 0, 1100) == ("probably-no", False)

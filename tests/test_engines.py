@@ -14,7 +14,6 @@ from exactmatch.engines import (
     brute_em,
     brute_tkpm,
     canonical_sort_key,
-    _iter_canonical,
     _iter_unordered,
     enumerate_perfect_matchings,
     has_perfect_matching,
@@ -67,6 +66,34 @@ def count_pms_oracle(graph):
         return total
 
     return count(0)
+
+
+def perfect_matchings_oracle(graph):
+    """Independent perfect-matching list: every perfect matching as a sorted
+    edge-id tuple, by bitmask recursion over vertex subsets. A self-loop is
+    never matched; parallel edges are matched each on its own."""
+    n = graph.n
+    if n % 2:
+        return set()
+    incident = [[] for _ in range(n)]
+    for eid, (u, v, _) in enumerate(graph.edges):
+        if u != v:
+            incident[u].append((eid, v))
+            incident[v].append((eid, u))
+    full = (1 << n) - 1
+
+    @lru_cache(maxsize=None)
+    def completions(mask):
+        if mask == full:
+            return ((),)
+        v = 0
+        while mask >> v & 1:
+            v += 1
+        return tuple((eid,) + rest
+                     for eid, w in incident[v] if not mask >> w & 1
+                     for rest in completions(mask | 1 << v | 1 << w))
+
+    return {tuple(sorted(m)) for m in completions(0)}
 
 
 def random_colored_graph(rng, n_max=8, allow_odd=True):
@@ -236,13 +263,16 @@ def test_tkpm_reaches_matches_brute_tkpm_at_every_threshold():
     assert seen == {"isolated edge", "isolated vertex", "pendant vertex", "odd n", "n = 0"}
 
 
-def test_unordered_engine_finds_the_canonical_engine_set():
+def assert_search_lists_the_oracle_set(g):
+    expected = sorted(perfect_matchings_oracle(g), key=lambda m: canonical_sort_key(g, m))
+    assert list(enumerate_perfect_matchings(g)) == expected, g
+
+
+def test_search_finds_the_oracle_set_in_canonical_order():
     rng = random.Random(92)
     for _ in range(600):
         g, _ = random_sparse_weighted_graph(rng)
-        unordered = list(_iter_unordered(g))
-        assert len(unordered) == len(set(unordered))
-        assert set(unordered) == set(_iter_canonical(g, None))
+        assert_search_lists_the_oracle_set(g)
 
 
 def test_brute_cpm_examples():
@@ -341,7 +371,7 @@ def test_self_loop_is_never_matched():
     assert brute_cpm(EmInstance(LOOPS_ONLY, 1)) is None
 
 
-def test_unordered_engine_ignores_self_loops_like_the_canonical_engine():
+def test_search_ignores_self_loops_like_the_oracle():
     rng = random.Random(93)
     with_loops = 0
     for _ in range(400):
@@ -352,10 +382,35 @@ def test_unordered_engine_ignores_self_loops_like_the_canonical_engine():
                       for v in rng.sample(range(g.n), rng.randint(1, g.n)))
         g = WeightedGraph(g.n, g.edges + loops)
         with_loops += 1
-        unordered = list(_iter_unordered(g))
-        assert len(unordered) == len(set(unordered))
-        assert set(unordered) == set(_iter_canonical(g, None)), g
+        assert_search_lists_the_oracle_set(g)
         k = rng.randint(0, g.n // 2 + 1)
         assert brute_tkpm(TkpmInstance(g, k)) == brute_tkpm(
             TkpmInstance(WeightedGraph(g.n, g.edges[:len(g.edges) - len(loops)]), k))
     assert with_loops > 300
+
+
+def rung_ladder(rungs):
+    """The 2 x rungs ladder with vertices numbered rung by rung: rung i
+    joins 2i and 2i + 1, and the rails join rung i to rung i + 1. Edge 3i
+    is rung i, edges 3i + 1 and 3i + 2 its rails to the next rung."""
+    edges = []
+    for i in range(rungs):
+        a, b = 2 * i, 2 * i + 1
+        edges.append((a, b, BLUE))
+        if i + 1 < rungs:
+            edges += [(a, a + 2, BLUE), (b, b + 2, BLUE)]
+    return ColoredGraph(2 * rungs, tuple(edges))
+
+
+def test_deep_ladder_needs_no_recursion():
+    rungs = 1500
+    g = rung_ladder(rungs)
+    assert g.n == 3000 and validate(g) is None
+    assert has_perfect_matching(g) is True
+    all_rungs = tuple(range(0, 3 * rungs, 3))
+    # canonical order takes a rung wherever it can, so the first three are
+    # all rungs, then the rails of the last square, then of the one before
+    square_at = lambda i: all_rungs[:i] + (3 * i + 1, 3 * i + 2) + all_rungs[i + 2:]
+    first = list(itertools.islice(enumerate_perfect_matchings(g), 3))
+    assert first == [all_rungs, square_at(rungs - 2), square_at(rungs - 3)]
+    assert brute_em(EmInstance(g, 0)) == all_rungs
