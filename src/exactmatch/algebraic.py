@@ -24,7 +24,10 @@ demos compare against.
 
 Parity matching (red count congruent to k mod 2, optionally bounded by k)
 is decided here as well, by one exact-matching query per feasible red count
-of the right parity.
+of the right parity. One coefficient vector answers every red count, so
+while a parity decision runs, its queries share their vectors: a trial
+that draws the same values on the same cells as an earlier query of the
+same decision reuses that query's vector instead of eliminating again.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Union
@@ -44,6 +48,10 @@ DEFAULT_TRIALS = 40
 PRIME = (1 << 30) - 35      # below 2^30, so every residue is one CPython digit
 
 WeightAssignment = tuple[int, ...]
+
+# Coefficient vectors computed during the current parity decision, keyed by
+# the exact input of _field_coefficients; None outside a parity decision.
+_shared_vectors: ContextVar[Optional[dict]] = ContextVar("_shared_vectors", default=None)
 
 
 @dataclass(frozen=True)
@@ -134,7 +142,7 @@ def sample_isolation_weights(m: int, rng: Union[int, random.Random, None] = None
     return tuple(rng.randint(1, 2 * m) for _ in range(m))
 
 
-def _cells(graph: ColoredGraph, bipartition: Bipartition) -> list[tuple[int, int, bool]]:
+def _cells(graph: ColoredGraph, bipartition: Bipartition) -> tuple[tuple[int, int, bool], ...]:
     """(row, column, is red) of each edge's matrix cell, in edge order.
 
     Rows are the left-side vertices in ascending id order, columns the
@@ -152,7 +160,7 @@ def _cells(graph: ColoredGraph, bipartition: Bipartition) -> list[tuple[int, int
             raise ValueError(f"bipartition does not separate edge {eid}")
         lu, rv = (u, v) if sides[u] == 0 else (v, u)
         cells.append((row[lu], col[rv], color == RED))
-    return cells
+    return tuple(cells)
 
 
 def symbolic_determinant(
@@ -228,7 +236,7 @@ def _interpolate(points: list[int]) -> list[int]:
     return coeffs
 
 
-def _field_coefficients(cells: list[tuple[int, int, bool]], values: WeightAssignment,
+def _field_coefficients(cells: tuple[tuple[int, int, bool], ...], values: WeightAssignment,
                         size: int, degree: int) -> list[int]:
     """Coefficients of det(B + yR) over GF(PRIME) up to y^degree, where
     the value of each blue edge adds into its cell of B and of each red
@@ -273,11 +281,19 @@ def algebraic_em_decide(
         # no perfect matching has fewer than 0 red edges, or more than n/2
         # or than the graph has
         return exact_no
+    shared = _shared_vectors.get()
     rng = random.Random(seed)
     transcript: list[tuple[WeightAssignment, bool]] = []
     for trial in range(trials):
         values = tuple(rng.randrange(PRIME) for _ in cells)
-        hit = _field_coefficients(cells, values, size, degree)[k] != 0
+        if shared is None:
+            coeffs = _field_coefficients(cells, values, size, degree)
+        else:
+            key = (cells, values, size, degree)
+            coeffs = shared.get(key)
+            if coeffs is None:
+                coeffs = shared[key] = _field_coefficients(cells, values, size, degree)
+        hit = coeffs[k] != 0
         transcript.append((values, hit))
         if hit:
             return EmDecision(answer=True, error_bound=0.0,
@@ -306,18 +322,26 @@ def yes_and_error(result) -> tuple[bool, float]:
 
 def _parity_via_em(instance: EmInstance, em_decider: Optional[EmDecider],
                    top: int) -> ParityDecision:
-    """Ask EM at every red count of k's parity from k % 2 up to top."""
+    """Ask EM at every red count of k's parity from k % 2 up to top.
+
+    The queries share the algebraic decider's coefficient vectors for the
+    duration of this call only.
+    """
     if em_decider is None:
         em_decider = brute_em
     graph, k = instance.graph, instance.k
     queries: list[int] = []
     accumulated_error = 0.0
-    for kp in range(k % 2, top + 1, 2):
-        queries.append(kp)
-        yes, error = yes_and_error(em_decider(EmInstance(graph, kp)))
-        if yes:
-            return ParityDecision(answer=True, error_bound=0.0, queries=tuple(queries))
-        accumulated_error += error
+    scope = _shared_vectors.set({})
+    try:
+        for kp in range(k % 2, top + 1, 2):
+            queries.append(kp)
+            yes, error = yes_and_error(em_decider(EmInstance(graph, kp)))
+            if yes:
+                return ParityDecision(answer=True, error_bound=0.0, queries=tuple(queries))
+            accumulated_error += error
+    finally:
+        _shared_vectors.reset(scope)
     return ParityDecision(answer=False, error_bound=min(accumulated_error, 1.0),
                           queries=tuple(queries))
 

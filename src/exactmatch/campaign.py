@@ -299,14 +299,12 @@ def _em_answer_budgeted(instance: EmInstance, budget: EnumerationBudget) -> bool
 
 
 def _tkpm_decide_budgeted(instance: EmInstance, budget: EnumerationBudget) -> bool:
+    """decide_em_via_tkpm under a budget: like tkpm_reaches, stop at the
+    first gadget matching that reaches the threshold."""
     tkpm, gadget_map = gadgetize(instance)
-    weights = tkpm.graph.weights
-    best = -1
-    for matching in enumerate_perfect_matchings(tkpm.graph, budget):
-        value = top_k_weight(weights, matching, tkpm.k)
-        if value > best:
-            best = value
-    return best >= gadget_map.threshold
+    weights, k, threshold = tkpm.graph.weights, tkpm.k, gadget_map.threshold
+    return any(top_k_weight(weights, matching, k) >= threshold
+               for matching in enumerate_perfect_matchings(tkpm.graph, budget))
 
 
 def exhaustive_sweep(

@@ -72,10 +72,12 @@ def canonical_sort_key(graph: Graph, matching: Matching) -> tuple[int, ...]:
 
     The canonical search emits each edge at its lower endpoint and visits
     vertices in ascending order, so matchings compare by their edge ids
-    sorted by lower endpoint, lexicographically.
+    sorted by lower endpoint, lexicographically. The lower endpoint is
+    min(u, v), whichever of the two the edge stores first.
     """
     edges = graph.edges
-    return tuple(eid for _, eid in sorted((edges[eid][0], eid) for eid in matching))
+    return tuple(eid for _, eid in sorted((min(edges[eid][0], edges[eid][1]), eid)
+                                          for eid in matching))
 
 
 def _iter_unordered(graph: Graph,

@@ -12,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+import exactmatch.algebraic as algebraic
 from exactmatch.algebraic import (
     DEFAULT_TRIALS,
     Bipartition,
@@ -433,3 +434,94 @@ def test_yes_and_error_reads_every_result_style():
     assert yes_and_error(False) == (False, 0.0)
     assert yes_and_error(()) == (True, 0.0)      # the empty witness on n = 0
     assert yes_and_error(None) == (False, 0.0)
+
+
+# every perfect matching has the three red edges, so BCPM at k = 2 asks
+# k' = 0 and k' = 2 and both are sure noes that run every trial
+THREE_RED_AND_C4 = ColoredGraph(10, (
+    (0, 1, RED), (2, 3, RED), (4, 5, RED),
+    (6, 7, BLUE), (7, 8, BLUE), (8, 9, BLUE), (6, 9, BLUE)))
+
+
+def count_field_coefficients(monkeypatch):
+    """Patch the per-trial coefficient computation with a call counter."""
+    calls = []
+    compute = algebraic._field_coefficients
+
+    def counted(*args):
+        calls.append(args)
+        return compute(*args)
+
+    monkeypatch.setattr(algebraic, "_field_coefficients", counted)
+    return calls
+
+
+def test_parity_queries_share_coefficient_vectors(monkeypatch):
+    trials, seed = 6, 5
+    decisions = []
+
+    def decider(inst):
+        decisions.append(algebraic_em_decide(inst, trials=trials, seed=seed))
+        return decisions[-1]
+
+    calls = count_field_coefficients(monkeypatch)
+    parity = bcpm_via_em(EmInstance(THREE_RED_AND_C4, 2), decider)
+    assert len(calls) == trials       # not one vector per trial per query
+    assert parity == ParityDecision(answer=False, error_bound=2 * 2.0 ** -trials,
+                                    queries=(0, 2))
+    standalone = [algebraic_em_decide(EmInstance(THREE_RED_AND_C4, kp),
+                                      trials=trials, seed=seed) for kp in (0, 2)]
+    assert decisions == standalone
+    assert len(calls) == 3 * trials   # outside the decision nothing is shared
+
+
+def test_shared_vectors_end_with_their_parity_decision(monkeypatch):
+    trials = 4
+    inst = EmInstance(THREE_RED_AND_C4, 2)
+
+    def decide(i):
+        return algebraic_em_decide(i, trials=trials, seed=3)
+
+    def failing(i):
+        if i.k == 2:
+            raise RuntimeError("decider failed")
+        return decide(i)
+
+    calls = count_field_coefficients(monkeypatch)
+    with pytest.raises(RuntimeError, match="decider failed"):
+        bcpm_via_em(inst, failing)
+    assert len(calls) == trials
+    for expected in (2 * trials, 3 * trials):
+        decide(EmInstance(THREE_RED_AND_C4, 0))
+        assert len(calls) == expected
+
+
+def test_nested_parity_decision_keeps_its_own_vectors(monkeypatch):
+    trials = 3
+    inner_graph = ColoredGraph(4, ((0, 1, RED), (2, 3, RED), (1, 2, BLUE)))
+
+    def decide(i):
+        return algebraic_em_decide(i, trials=trials, seed=8)
+
+    def outer(i):
+        # every perfect matching of inner_graph has two red edges, so its
+        # BCPM at k = 1 asks k' = 1 only, a sure no
+        assert not bcpm_via_em(EmInstance(inner_graph, 1), decide)
+        return decide(i)
+
+    calls = count_field_coefficients(monkeypatch)
+    parity = bcpm_via_em(EmInstance(THREE_RED_AND_C4, 2), outer)
+    assert parity.answer is False and parity.queries == (0, 2)
+    # each nested decision computes its own vectors and drops them on exit,
+    # while the outer queries still share theirs
+    assert len(calls) == 2 * trials + trials
+
+
+def test_unseeded_decider_gives_no_false_yes(monkeypatch):
+    trials = 5
+    calls = count_field_coefficients(monkeypatch)
+    parity = bcpm_via_em(EmInstance(THREE_RED_AND_C4, 2),
+                         lambda i: algebraic_em_decide(i, trials=trials, seed=None))
+    assert parity == ParityDecision(answer=False, error_bound=2 * 2.0 ** -trials,
+                                    queries=(0, 2))
+    assert len(calls) == 2 * trials   # fresh draws per query share nothing

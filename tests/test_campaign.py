@@ -9,6 +9,7 @@ at n = 6.
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +27,7 @@ from exactmatch.campaign import (
 from exactmatch.engines import EnumerationBudget, brute_em
 from exactmatch.formats import parse_em_instance
 from exactmatch.generator import GenSpec
-from exactmatch.graphs import validate_instance
+from exactmatch.graphs import BLUE, ColoredGraph, EmInstance, validate_instance
 
 
 def pairs_of(n):
@@ -180,6 +181,20 @@ def test_exhaustive_sweep_roomy_budget_completes():
     roomy = EnumerationBudget(max_matchings=10 ** 6, max_nodes=10 ** 6)
     report = exhaustive_sweep(2, budget=roomy)
     assert report.instances_run == 4 and report.skipped == 0
+
+
+def test_exhaustive_sweep_roomy_budget_matches_unbudgeted():
+    roomy = EnumerationBudget(max_matchings=10 ** 6, max_nodes=10 ** 6)
+    budgeted, plain = exhaustive_sweep(4, budget=roomy), exhaustive_sweep(4)
+    assert replace(budgeted, engine_seconds=()) == replace(plain, engine_seconds=())
+
+
+def test_budgeted_gadget_decision_stops_at_first_hit():
+    # both perfect matchings of the all-blue C4 reach the threshold at
+    # k = 0, so a one-matching budget suffices
+    c4 = ColoredGraph(4, ((0, 1, BLUE), (1, 2, BLUE), (2, 3, BLUE), (0, 3, BLUE)))
+    assert campaign._tkpm_decide_budgeted(EmInstance(c4, 0),
+                                          EnumerationBudget(max_matchings=1))
 
 
 def test_report_invariant_enforced():

@@ -139,6 +139,24 @@ def test_enumerate_canonical_order():
         assert keys == sorted(keys)
 
 
+def test_canonical_key_ranks_reversed_edges_by_lower_endpoint():
+    # edges stored high endpoint first, as a library caller may build them
+    pairs = ((4, 0), (5, 0), (5, 3), (3, 1), (4, 2), (2, 5), (2, 3), (3, 4),
+             (4, 1), (2, 0), (5, 1))
+    g = ColoredGraph(6, tuple((u, v, BLUE) for u, v in pairs))
+    got = list(enumerate_perfect_matchings(g))
+    assert got[:3] == [(0, 3, 5), (0, 6, 10), (1, 3, 4)]
+    keys = [canonical_sort_key(g, m) for m in got]
+    assert keys == sorted(keys)
+    rng = random.Random(17)
+    for _ in range(300):
+        base = random_colored_graph(rng, n_max=6)
+        g = ColoredGraph(base.n, tuple((v, u, c) if rng.random() < 0.5 else (u, v, c)
+                                       for u, v, c in base.edges))
+        keys = [canonical_sort_key(g, m) for m in enumerate_perfect_matchings(g)]
+        assert keys == sorted(keys)
+
+
 def test_budgeted_engine_yields_same_sequence():
     rng = random.Random(5)
     roomy = EnumerationBudget(max_matchings=10 ** 9, max_nodes=10 ** 9)
