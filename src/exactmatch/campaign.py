@@ -42,11 +42,11 @@ from .engines import (
     brute_cpm,
     brute_em,
     brute_tkpm,
-    enumerate_perfect_matchings,
+    tkpm_reaches,
 )
 from .formats import format_em_instance
 from .generator import GenSpec, gen_instance
-from .graphs import BLUE, RED, ColoredGraph, EmInstance, top_k_weight
+from .graphs import BLUE, RED, ColoredGraph, EmInstance
 from .reduction import decide_em_via_tkpm, gadgetize
 
 SWEEP_COLORINGS_CAP = 128   # colorings sampled per graph when 2^m is too many
@@ -289,22 +289,10 @@ def exhaustive_instances(
                     yield EmInstance(graph, k)
 
 
-def _em_answer_budgeted(instance: EmInstance, budget: EnumerationBudget) -> bool:
-    colors = instance.graph.colors
-    k = instance.k
-    for matching in enumerate_perfect_matchings(instance.graph, budget):
-        if sum(1 for eid in matching if colors[eid] == RED) == k:
-            return True
-    return False
-
-
 def _tkpm_decide_budgeted(instance: EmInstance, budget: EnumerationBudget) -> bool:
-    """decide_em_via_tkpm under a budget: like tkpm_reaches, stop at the
-    first gadget matching that reaches the threshold."""
+    """decide_em_via_tkpm under a budget."""
     tkpm, gadget_map = gadgetize(instance)
-    weights, k, threshold = tkpm.graph.weights, tkpm.k, gadget_map.threshold
-    return any(top_k_weight(weights, matching, k) >= threshold
-               for matching in enumerate_perfect_matchings(tkpm.graph, budget))
+    return tkpm_reaches(tkpm, gadget_map.threshold, budget)
 
 
 def exhaustive_sweep(
@@ -327,10 +315,7 @@ def exhaustive_sweep(
     for iid, instance in enumerate(exhaustive_instances(max_n, colorings_cap, seed)):
         try:
             t0 = time.perf_counter()
-            if budget is None:
-                brute_yes = brute_em(instance) is not None
-            else:
-                brute_yes = _em_answer_budgeted(instance, budget)
+            brute_yes = brute_em(instance, budget) is not None
             t1 = time.perf_counter()
             if budget is None:
                 gadget_yes = decide_em_via_tkpm(instance)

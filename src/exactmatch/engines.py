@@ -16,6 +16,15 @@ edge: forcing never reorders the output. The search keeps its state on an
 explicit stack, so deep graphs cost no recursion depth, and it counts
 budgets itself.
 
+A leaf costs constant work. Next to the chosen edges the search keeps a
+running count per edge class (red and blue for a colored graph, one class
+per distinct weight for a weighted one), raised as edges are placed and
+lowered as they are taken back. It knows a leaf by the number of chosen
+edges, without a scan, and yields its live state there. The brute solvers
+read the red count and the TkPM engines the top-k weight from the counts,
+and each sorts only the matching it keeps into a tuple;
+enumerate_perfect_matchings sorts every one.
+
 The TkPM decision form, tkpm_reaches, stops at the first perfect matching
 that reaches a threshold; brute_tkpm is the optimisation oracle that ranks
 every matching.
@@ -26,14 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .graphs import (
-    RED,
-    EmInstance,
-    Graph,
-    Matching,
-    TkpmInstance,
-    top_k_weight,
-)
+from .graphs import EmInstance, Graph, Matching, TkpmInstance
 
 
 class BudgetExhausted(RuntimeError):
@@ -81,12 +83,19 @@ def canonical_sort_key(graph: Graph, matching: Matching) -> tuple[int, ...]:
 
 
 def _iter_unordered(graph: Graph,
-                    budget: Optional[EnumerationBudget] = None) -> Iterator[Matching]:
-    """The perfect-matching search, yielding in canonical order.
+                    budget: Optional[EnumerationBudget] = None,
+                    ) -> Iterator[tuple[list[int], list[int]]]:
+    """The perfect-matching search, yielding its leaves in canonical order.
 
     The name predates the canonical order and stays because the
     benchmark's tracer wraps this function by name, calling it with the
     graph alone, to count the matchings visited.
+
+    At each leaf it yields the live pair (chosen, counts): the placed edge
+    ids in placement order, and per edge class of the graph
+    (graph.edge_classes) the number of placed edges in it. Both lists
+    change as the search goes on, so a consumer decides from counts and
+    copies chosen only for a matching it keeps.
 
     Forced moves are applied in cascades: once before the first branch,
     seeded with every vertex of degree one, and again after every branching
@@ -98,6 +107,7 @@ def _iter_unordered(graph: Graph,
         return
     adj = graph.adjacency
     edges = graph.edges
+    classes = graph.edge_classes
     avail = [len(a) for a in adj]
     if 0 in avail:
         return
@@ -105,6 +115,7 @@ def _iter_unordered(graph: Graph,
     max_nodes = budget.max_nodes if budget else None
     covered = bytearray(n)
     chosen: list[int] = []
+    counts = [0] * graph.num_classes
     yielded = 0
     nodes = 0
 
@@ -137,6 +148,7 @@ def _iter_unordered(graph: Graph,
             covered[a] = 1
             covered[b] = 1
             chosen.append(eid)
+            counts[classes[eid]] += 1
             for x in (a, b):
                 for _, w in adj[x]:
                     if not covered[w]:
@@ -156,6 +168,7 @@ def _iter_unordered(graph: Graph,
             edge = edges[eid]
             covered[edge[0]] = 0
             covered[edge[1]] = 0
+            counts[classes[eid]] -= 1
         del chosen[mark:]
 
     def advance(frame: list) -> bool:
@@ -182,21 +195,46 @@ def _iter_unordered(graph: Graph,
     stack: list[list] = []   # frames [branch vertex, next adjacency index, undo log]
     v = 0
     while True:
-        while v < n and covered[v]:
-            v += 1
-        if v < n:
-            stack.append([v, 0, None])
-        else:
+        # every placed edge covers two vertices, so n/2 of them cover all
+        if 2 * len(chosen) == n:
             if max_matchings is not None and yielded == max_matchings:
                 raise BudgetExhausted(yielded, nodes)
             yielded += 1
-            yield tuple(sorted(chosen))
+            yield chosen, counts
+        else:
+            # some vertex from v on is uncovered
+            while covered[v]:
+                v += 1
+            stack.append([v, 0, None])
         while stack and not advance(stack[-1]):
             stack.pop()
         if not stack:
             return
         # every vertex up to the branch vertex is covered now
         v = stack[-1][0] + 1
+
+
+def _leaves(graph: Graph, budget: Optional[EnumerationBudget]):
+    """The search's leaves. The benchmark's tracer wraps _iter_unordered
+    as a function of the graph alone, so the budget is passed only when
+    set."""
+    if budget is None:
+        return _iter_unordered(graph)
+    return _iter_unordered(graph, budget)
+
+
+def _top_k(class_weights: tuple[int, ...], counts: list[int], k: int) -> int:
+    """top_k_weight of a leaf, from its class counts: k edges taken from
+    the heaviest class down."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    total = 0
+    for weight, count in zip(class_weights, counts):
+        if count >= k:
+            return total + k * weight
+        total += count * weight
+        k -= count
+    return total
 
 
 def enumerate_perfect_matchings(
@@ -210,24 +248,21 @@ def enumerate_perfect_matchings(
     cap is hit, BudgetExhausted is raised mid-iteration, so a consumer can
     always tell "complete" apart from "truncated".
     """
-    # the benchmark's tracer wraps _iter_unordered as a function of the
-    # graph alone
-    if budget is None:
-        return _iter_unordered(graph)
-    return _iter_unordered(graph, budget)
+    return (tuple(sorted(chosen)) for chosen, _ in _leaves(graph, budget))
 
 
 def has_perfect_matching(graph: Graph, budget: Optional[EnumerationBudget] = None) -> bool:
     """True iff the graph has at least one perfect matching (early exit on
     the first one found). Budget exhaustion propagates."""
-    return next(enumerate_perfect_matchings(graph, budget), None) is not None
+    return next(_leaves(graph, budget), None) is not None
 
 
-def brute_em(instance: EmInstance) -> Optional[Matching]:
+def brute_em(instance: EmInstance,
+             budget: Optional[EnumerationBudget] = None) -> Optional[Matching]:
     """First perfect matching in canonical order with exactly k red edges,
-    or None when no such matching exists."""
+    or None when no such matching exists. Budget exhaustion propagates."""
     k = instance.k
-    return _brute_first(instance, lambda r: r == k)
+    return _brute_first(instance, lambda r: r == k, budget)
 
 
 def brute_tkpm(instance: TkpmInstance) -> Optional[tuple[Matching, int]]:
@@ -236,34 +271,37 @@ def brute_tkpm(instance: TkpmInstance) -> Optional[tuple[Matching, int]]:
     Ties go to the first maximizer in canonical enumeration order. Returns
     None when the graph has no perfect matching.
     """
-    weights, k = instance.graph.weights, instance.k
+    graph, k = instance.graph, instance.k
+    class_weights = graph.class_weights
     best: Optional[Matching] = None
     best_value = -1
-    for matching in enumerate_perfect_matchings(instance.graph):
-        value = top_k_weight(weights, matching, k)
+    for chosen, counts in _leaves(graph, None):
+        value = _top_k(class_weights, counts, k)
         if value > best_value:
-            best, best_value = matching, value
+            best, best_value = tuple(sorted(chosen)), value
     if best is None:
         return None
     return best, best_value
 
 
-def tkpm_reaches(instance: TkpmInstance, threshold: int) -> bool:
+def tkpm_reaches(instance: TkpmInstance, threshold: int,
+                 budget: Optional[EnumerationBudget] = None) -> bool:
     """Decision form of TkPM: True iff some perfect matching has top-k
     weight at least threshold. Stops at the first such matching, so it
-    ranks nothing and finds no optimum."""
-    weights, k = instance.graph.weights, instance.k
-    return any(top_k_weight(weights, matching, k) >= threshold
-               for matching in enumerate_perfect_matchings(instance.graph))
+    ranks nothing and finds no optimum. Budget exhaustion propagates."""
+    graph, k = instance.graph, instance.k
+    class_weights = graph.class_weights
+    return any(_top_k(class_weights, counts, k) >= threshold
+               for _, counts in _leaves(graph, budget))
 
 
-def _brute_first(instance: EmInstance, accept) -> Optional[Matching]:
+def _brute_first(instance: EmInstance, accept,
+                 budget: Optional[EnumerationBudget] = None) -> Optional[Matching]:
     """First perfect matching in canonical order whose red count passes
     accept, or None."""
-    colors = instance.graph.colors
-    for matching in enumerate_perfect_matchings(instance.graph):
-        if accept(sum(1 for eid in matching if colors[eid] == RED)):
-            return matching
+    for chosen, counts in _leaves(instance.graph, budget):
+        if accept(counts[1]):
+            return tuple(sorted(chosen))
     return None
 
 

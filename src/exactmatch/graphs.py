@@ -3,7 +3,9 @@
 Vertices are dense integer ids 0..n-1. Edges are stored as an ordered list
 of tuples with endpoints normalized so that u < v; the id of an edge is its
 position in that list and never changes. A matching is a sorted tuple of
-edge ids. All types are immutable after construction and all functions here
+edge ids. Each graph type also sorts its edges into classes, numbered
+0..num_classes-1, for the perfect-matching search's running per-class
+counts. All types are immutable after construction and all functions here
 are pure, so values can be shared freely between workers.
 """
 
@@ -44,6 +46,13 @@ class ColoredGraph:
     def num_red(self) -> int:
         return len(self.red_edge_ids)
 
+    # class 1 is red and class 0 blue, so counts[1] is the red count
+    num_classes = 2
+
+    @cached_property
+    def edge_classes(self) -> tuple[int, ...]:
+        return tuple(1 if c == RED else 0 for c in self.colors)
+
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per vertex, the incident (edge id, other endpoint) pairs in
@@ -64,6 +73,21 @@ class WeightedGraph:
     @cached_property
     def weights(self) -> tuple[int, ...]:
         return tuple(e[2] for e in self.edges)
+
+    @cached_property
+    def class_weights(self) -> tuple[int, ...]:
+        """The distinct edge weights, heaviest first: the class of an edge
+        is the position of its weight here."""
+        return tuple(sorted(set(self.weights), reverse=True))
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.class_weights)
+
+    @cached_property
+    def edge_classes(self) -> tuple[int, ...]:
+        rank = {w: c for c, w in enumerate(self.class_weights)}
+        return tuple(rank[w] for w in self.weights)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import pytest
 
+from exactmatch import engines
 from exactmatch.engines import (
     BudgetExhausted,
     EnumerationBudget,
@@ -28,8 +29,10 @@ from exactmatch.graphs import (
     WeightedGraph,
     is_perfect_matching,
     red_count,
+    top_k_weight,
     validate,
 )
+from exactmatch.reduction import decide_em_via_tkpm
 
 C4 = ColoredGraph(4, ((0, 1, BLUE), (1, 2, BLUE), (2, 3, BLUE), (0, 3, BLUE)))
 K2_RED = ColoredGraph(2, ((0, 1, RED),))
@@ -432,3 +435,156 @@ def test_deep_ladder_needs_no_recursion():
     first = list(itertools.islice(enumerate_perfect_matchings(g), 3))
     assert first == [all_rungs, square_at(rungs - 2), square_at(rungs - 3)]
     assert brute_em(EmInstance(g, 0)) == all_rungs
+
+
+def test_unbudgeted_entries_call_the_search_with_the_graph_alone(monkeypatch):
+    # the benchmark's tracer counts the matchings visited by wrapping the
+    # search in a function of the graph alone
+    search = engines._iter_unordered
+    leaves = []
+
+    def counting(graph):
+        for leaf in search(graph):
+            leaves.append(graph)
+            yield leaf
+
+    monkeypatch.setattr(engines, "_iter_unordered", counting)
+
+    def leaves_seen(call):
+        leaves.clear()
+        call()
+        return len(leaves)
+
+    blue = complete_graph(6)   # 15 perfect matchings, none with a red edge
+    weighted = WeightedGraph(6, tuple((u, v, u + v) for u, v, _ in blue.edges))
+    assert leaves_seen(lambda: list(enumerate_perfect_matchings(blue))) == 15
+    assert leaves_seen(lambda: has_perfect_matching(blue)) == 1
+    # sure-no questions, so every leaf is visited
+    assert leaves_seen(lambda: brute_em(EmInstance(blue, 1))) == 15
+    assert leaves_seen(lambda: brute_cpm(EmInstance(blue, 1))) == 15
+    assert leaves_seen(lambda: brute_bcpm(EmInstance(blue, 1))) == 15
+    assert leaves_seen(lambda: brute_tkpm(TkpmInstance(weighted, 2))) == 15
+    assert leaves_seen(lambda: tkpm_reaches(TkpmInstance(weighted, 2), 10 ** 6)) == 15
+    # the gadget's perfect matchings are in bijection with the source's
+    assert leaves_seen(lambda: decide_em_via_tkpm(EmInstance(blue, 1))) == 15
+
+
+def first_max_oracle(pms, weights, k):
+    """brute_tkpm from the sorted matchings: the first maximizer."""
+    best = None
+    for m in pms:
+        value = top_k_weight(weights, m, k)
+        if best is None or value > best[1]:
+            best = (m, value)
+    return best
+
+
+def assert_engines_match_their_oracles(g, pms):
+    """Every engine on g against enumerate-then-filter, where pms is the
+    list enumerate_perfect_matchings gave."""
+    kinds = set(map(type, pms))
+    assert kinds <= {tuple} and len(set(pms)) == len(pms), g
+    assert pms == sorted(perfect_matchings_oracle(g), key=lambda m: canonical_sort_key(g, m))
+    if isinstance(g, ColoredGraph):
+        reds = [red_count(g, m) for m in pms]
+        first = lambda ok: next((m for m, r in zip(pms, reds) if ok(r)), None)
+        for k in range(g.n // 2 + 2):
+            inst = EmInstance(g, k)
+            assert brute_em(inst) == first(lambda r: r == k), (g, k)
+            assert brute_cpm(inst) == first(lambda r: r % 2 == k % 2), (g, k)
+            assert brute_bcpm(inst) == first(lambda r: r <= k and r % 2 == k % 2), (g, k)
+        return
+    for k in range(g.n // 2 + 2):
+        inst = TkpmInstance(g, k)
+        best = first_max_oracle(pms, g.weights, k)
+        assert brute_tkpm(inst) == best, (g, k)
+        opt = best[1] if best else 0
+        for threshold in (opt - 1, opt, opt + 1):
+            expected = best is not None and best[1] >= threshold
+            assert tkpm_reaches(inst, threshold) is expected, (g, k, threshold)
+    if pms:
+        for call in (lambda: brute_tkpm(TkpmInstance(g, -1)),
+                     lambda: tkpm_reaches(TkpmInstance(g, -1), 0)):
+            with pytest.raises(ValueError):
+                call()
+
+
+def test_leaf_counts_match_enumerate_then_filter():
+    rng = random.Random(95)
+    seen = set()
+    for _ in range(250):
+        g = random_colored_graph(rng, n_max=10)
+        if rng.random() < 0.3:
+            g = ColoredGraph(g.n, tuple((u, v, BLUE) for u, v, _ in g.edges))
+        if g.num_red == 0:
+            seen.add("no red")
+        seen.add("n = 0" if g.n == 0 else "odd n" if g.n % 2 else "even n")
+        assert_engines_match_their_oracles(g, list(enumerate_perfect_matchings(g)))
+    for _ in range(250):
+        g, features = random_sparse_weighted_graph(rng, n_max=10)
+        if rng.random() < 0.5:
+            distinct = rng.sample(range(100), len(g.edges))
+            g = WeightedGraph(g.n, tuple((u, v, w) for (u, v, _), w in zip(g.edges, distinct)))
+        seen |= features & {"n = 0", "odd n"}
+        seen.add("tied weights" if len(g.class_weights) < len(g.edges) else "distinct weights")
+        assert_engines_match_their_oracles(g, list(enumerate_perfect_matchings(g)))
+    assert seen == {"no red", "n = 0", "odd n", "even n", "tied weights", "distinct weights"}
+
+
+def test_negative_k_without_a_perfect_matching_ranks_nothing():
+    # k < 0 raises at the first leaf (see the property test above)
+    no_pm = WeightedGraph(4, ((0, 1, 3),))
+    assert brute_tkpm(TkpmInstance(no_pm, -1)) is None
+    assert tkpm_reaches(TkpmInstance(no_pm, -1), 0) is False
+
+
+def test_brute_em_and_tkpm_reaches_take_a_budget():
+    roomy = EnumerationBudget(max_matchings=10 ** 6, max_nodes=10 ** 6)
+    blue = complete_graph(6)
+    weighted = WeightedGraph(6, tuple((u, v, u + v) for u, v, _ in blue.edges))
+    assert brute_em(EmInstance(blue, 0), roomy) == brute_em(EmInstance(blue, 0)) == (0, 9, 14)
+    assert brute_em(EmInstance(blue, 1), roomy) is None
+    with pytest.raises(BudgetExhausted):
+        brute_em(EmInstance(blue, 1), EnumerationBudget(max_matchings=14))
+    assert tkpm_reaches(TkpmInstance(weighted, 1), 9, roomy)
+    assert not tkpm_reaches(TkpmInstance(weighted, 1), 10, roomy)
+    with pytest.raises(BudgetExhausted):
+        tkpm_reaches(TkpmInstance(weighted, 1), 10, EnumerationBudget(max_matchings=14))
+
+
+def path_and_square_chain(squares, path_vertices, rng):
+    """Paths of path_vertices (even) vertices joined by squares, entering
+    each square at one corner and leaving at the opposite one, with all
+    edge weights distinct. The paths are forced, and each square is
+    matched in one of its two ways, so there are 2**squares perfect
+    matchings."""
+    pairs = []
+    nxt = 0
+    prev = None
+    for piece in range(squares + 1):
+        first = nxt
+        pairs += [(first + j, first + j + 1) for j in range(path_vertices - 1)]
+        if prev is not None:
+            pairs.append((prev, first))
+        nxt += path_vertices
+        prev = nxt - 1
+        if piece < squares:
+            a, b, c, d = range(nxt, nxt + 4)
+            pairs += [(a, b), (b, c), (c, d), (a, d), (prev, a)]
+            nxt += 4
+            prev = c
+    weights = rng.sample(range(10 * len(pairs)), len(pairs))
+    return WeightedGraph(nxt, tuple((u, v, w) for (u, v), w in zip(pairs, weights)))
+
+
+def test_brute_tkpm_with_hundreds_of_weight_classes():
+    g = path_and_square_chain(6, 54, random.Random(96))
+    assert g.n == 402 and validate(g) is None
+    assert g.num_classes == len(g.edges)
+    pms = list(enumerate_perfect_matchings(g))
+    assert len(pms) == 2 ** 6
+    for k in (0, 1, 50, 150, g.n // 2, g.n // 2 + 5):
+        best = first_max_oracle(pms, g.weights, k)
+        assert brute_tkpm(TkpmInstance(g, k)) == best, k
+        assert tkpm_reaches(TkpmInstance(g, k), best[1])
+        assert not tkpm_reaches(TkpmInstance(g, k), best[1] + 1)

@@ -164,6 +164,15 @@ def test_red_edge_ids_and_num_red():
     assert g.num_red == 2
 
 
+def test_edge_classes():
+    g = c4_with_red(1, 3)
+    assert g.num_classes == 2 and g.edge_classes == (0, 1, 0, 1)
+    w = WeightedGraph(4, ((0, 1, 5), (1, 2, 0), (2, 3, 5), (0, 3, 2)))
+    assert w.class_weights == (5, 2, 0)
+    assert w.num_classes == 3 and w.edge_classes == (0, 2, 0, 1)
+    assert WeightedGraph(0, ()).num_classes == 0
+
+
 def test_validate_accepts_all_complete_graphs():
     for n in range(7):
         edges = tuple((u, v, RED) for u, v in itertools.combinations(range(n), 2))
