@@ -1,10 +1,12 @@
 """Differential-testing campaigns over the matching solvers.
 
-Two drivers live here. exhaustive_sweep covers every graph that can matter
-at desk scale (all isomorphism classes on up to 6 vertices that contain a
-perfect matching, seeded samples at n = 8), crossed with edge colorings and
-every feasible k, and compares the brute-force exact-matching oracle against
-the gadget-reduction decider. randomized_campaign compares any subset of the
+Two drivers live here, both thin: each builds a stream of instances and
+hands it to _cross_check, the one loop that runs, times and compares the
+engines. exhaustive_sweep covers every graph that can matter at desk scale
+(all isomorphism classes on up to 6 vertices that contain a perfect
+matching, seeded samples at n = 8), crossed with edge colorings and every
+feasible k, and compares the brute-force exact-matching oracle against the
+gadget-reduction decider. randomized_campaign compares any subset of the
 solver engines on generated instances.
 
 SOLVERS is the one engine table: `exactmatch solve` looks engines up in it,
@@ -42,12 +44,11 @@ from .engines import (
     brute_cpm,
     brute_em,
     brute_tkpm,
-    tkpm_reaches,
 )
 from .formats import format_em_instance
 from .generator import GenSpec, gen_instance
 from .graphs import BLUE, RED, ColoredGraph, EmInstance
-from .reduction import decide_em_via_tkpm, gadgetize
+from .reduction import decide_em_via_tkpm
 
 SWEEP_COLORINGS_CAP = 128   # colorings sampled per graph when 2^m is too many
 SWEEP_N8_GRAPHS = 60        # sampled graph structures at n = 8
@@ -289,68 +290,6 @@ def exhaustive_instances(
                     yield EmInstance(graph, k)
 
 
-def _tkpm_decide_budgeted(instance: EmInstance, budget: EnumerationBudget) -> bool:
-    """decide_em_via_tkpm under a budget."""
-    tkpm, gadget_map = gadgetize(instance)
-    return tkpm_reaches(tkpm, gadget_map.threshold, budget)
-
-
-def exhaustive_sweep(
-        max_n: int,
-        colorings_cap: int = SWEEP_COLORINGS_CAP,
-        seed: int = 0,
-        budget: Optional[EnumerationBudget] = None,
-        ) -> CampaignReport:
-    """Compare brute_em against decide_em_via_tkpm over the covering stream.
-
-    With a budget, an instance on which either engine exhausts it is skipped
-    and recorded in budget_notes (it does not count as run); the default is
-    unbudgeted, which always terminates at these sizes.
-    """
-    disagreements: list[Disagreement] = []
-    notes: list[str] = []
-    seconds = {"brute-em": 0.0, "via-tkpm": 0.0}
-    run = 0
-    skipped = 0
-    for iid, instance in enumerate(exhaustive_instances(max_n, colorings_cap, seed)):
-        try:
-            t0 = time.perf_counter()
-            brute_yes = brute_em(instance, budget) is not None
-            t1 = time.perf_counter()
-            if budget is None:
-                gadget_yes = decide_em_via_tkpm(instance)
-            else:
-                gadget_yes = _tkpm_decide_budgeted(instance, budget)
-            t2 = time.perf_counter()
-        except BudgetExhausted as exc:
-            skipped += 1
-            notes.append(
-                f"instance {iid}: skipped, {exc}\n{format_em_instance(instance)}")
-            continue
-        seconds["brute-em"] += t1 - t0
-        seconds["via-tkpm"] += t2 - t1
-        run += 1
-        if brute_yes != gadget_yes:
-            disagreements.append(Disagreement(
-                instance_id=iid,
-                engine_a="brute-em",
-                engine_b="via-tkpm",
-                verdict_a="yes" if brute_yes else "no",
-                verdict_b="yes" if gadget_yes else "no",
-                kind="hard",
-                instance_text=format_em_instance(instance)))
-    return CampaignReport(
-        instances_run=run,
-        agreements=run - len(disagreements),
-        disagreements=tuple(disagreements),
-        statistical_events=(),
-        engine_seconds=tuple(sorted(seconds.items())),
-        detection=(),
-        seed=seed,
-        skipped=skipped,
-        budget_notes=tuple(notes))
-
-
 # (problem, `solve --engine` name) -> (campaign engine name or None,
 # bipartite-only, solve(instance, seed, trials)): the one place to add an
 # engine. The callables look their engine up in this module at call time.
@@ -385,6 +324,110 @@ ENGINES: dict[str, tuple[str, bool, Callable[[EmInstance, int, int], tuple[str, 
     for (problem, _), (name, bipartite, solve) in SOLVERS.items() if name is not None}
 
 
+
+
+def _cross_check(cases, engines: dict, trials: int, seed: int) -> CampaignReport:
+    """The one cross-check loop behind both campaigns.
+
+    cases yields (instance id, instance, seed or None); engines maps a name
+    to an ENGINES entry, and each runner is called with the case's seed.
+    Bipartite-only engines sit out non-bipartite instances, and detection
+    counts their yes answers on instances an exact engine answered yes.
+    Verdicts are compared pairwise within a problem family, keeping at most
+    one hard and one statistical Disagreement per instance. An instance on
+    which an engine raises BudgetExhausted is skipped and noted in
+    budget_notes, and none of its seconds are booked.
+    """
+    disagreements: list[Disagreement] = []
+    statistical: list[Disagreement] = []
+    notes: list[str] = []
+    seconds = dict.fromkeys(engines, 0.0)
+    bipartite_only = [name for name, (_, needs, _) in engines.items() if needs]
+    detected = dict.fromkeys(bipartite_only, 0)
+    yes_total = dict.fromkeys(bipartite_only, 0)
+    negative = ("no", "probably-no")
+    run = skipped = 0
+
+    for iid, instance, case_seed in cases:
+        bipartite = bool(bipartite_only) and find_bipartition(instance.graph) is not None
+        # (name, family, verdict, exact, seconds) of each engine that ran
+        verdicts: list[tuple[str, str, str, bool, float]] = []
+        try:
+            for name, (family, needs_bipartite, runner) in engines.items():
+                if needs_bipartite and not bipartite:
+                    continue
+                t0 = time.perf_counter()
+                verdict, exact = runner(instance, case_seed, trials)
+                verdicts.append((name, family, verdict, exact, time.perf_counter() - t0))
+        except BudgetExhausted as exc:
+            skipped += 1
+            notes.append(f"instance {iid}: skipped, {exc}\n{format_em_instance(instance)}")
+            continue
+        run += 1
+        for name, _, _, _, elapsed in verdicts:
+            seconds[name] += elapsed
+
+        found: dict[str, Disagreement] = {}   # kind -> first event of that kind
+        for (na, fa, va, _, _), (nb, fb, vb, _, _) in itertools.combinations(verdicts, 2):
+            if fa != fb or va == vb:
+                continue
+            if va in negative and vb in negative:
+                continue   # both lean no; the weaker one is not a conflict
+            kind = "statistical" if "probably-no" in (va, vb) else "hard"
+            if kind not in found:
+                found[kind] = Disagreement(iid, na, nb, va, vb, kind,
+                                           format_em_instance(instance), case_seed)
+        if "hard" in found:
+            disagreements.append(found["hard"])
+        if "statistical" in found:
+            statistical.append(found["statistical"])
+
+        # Detection bookkeeping against exact ground truth, when present.
+        truth = next((v == "yes" for n_, f_, v, exact, _ in verdicts
+                      if f_ == "em" and exact and n_ not in yes_total), None)
+        if truth:
+            for name, family, verdict, _, _ in verdicts:
+                if name in yes_total and family == "em":
+                    yes_total[name] += 1
+                    if verdict == "yes":
+                        detected[name] += 1
+
+    return CampaignReport(
+        instances_run=run,
+        agreements=run - len(disagreements),
+        disagreements=tuple(disagreements),
+        statistical_events=tuple(statistical),
+        engine_seconds=tuple(sorted(seconds.items())),
+        detection=tuple((name, detected[name], yes_total[name])
+                        for name in sorted(yes_total)),
+        seed=seed,
+        skipped=skipped,
+        budget_notes=tuple(notes))
+
+
+def exhaustive_sweep(
+        max_n: int,
+        colorings_cap: int = SWEEP_COLORINGS_CAP,
+        seed: int = 0,
+        budget: Optional[EnumerationBudget] = None,
+        ) -> CampaignReport:
+    """Compare brute_em against decide_em_via_tkpm over the covering stream.
+
+    With a budget, an instance on which either engine exhausts it is skipped
+    and recorded in budget_notes (it does not count as run); the default is
+    unbudgeted, which always terminates at these sizes.
+    """
+    engines = {
+        "brute-em": ("em", False, _verdict(
+            lambda inst, _seed, _trials: brute_em(inst, budget))),
+        "via-tkpm": ("em", False, _verdict(
+            lambda inst, _seed, _trials: decide_em_via_tkpm(inst, budget))),
+    }
+    cases = ((iid, instance, None) for iid, instance
+             in enumerate(exhaustive_instances(max_n, colorings_cap, seed)))
+    return _cross_check(cases, engines, 1, seed)
+
+
 def randomized_campaign(
         count: int,
         template: GenSpec,
@@ -404,63 +447,7 @@ def randomized_campaign(
     unknown = [name for name in engines if name not in ENGINES]
     if unknown:
         raise ValueError(f"unknown engine name: {unknown[0]}")
-
-    disagreements: list[Disagreement] = []
-    statistical: list[Disagreement] = []
-    seconds = {name: 0.0 for name in engines}
-    detected = {name: 0 for name in engines if ENGINES[name][1]}
-    yes_total = {name: 0 for name in engines if ENGINES[name][1]}
-
-    for i in range(count):
-        spec = replace(template, seed=template.seed + i)
-        instance = gen_instance(spec)
-        bipartite = find_bipartition(instance.graph) is not None
-        verdicts: list[tuple[str, str, str, bool]] = []   # (name, family, verdict, exact)
-        for name in engines:
-            family, needs_bipartite, runner = ENGINES[name]
-            if needs_bipartite and not bipartite:
-                continue
-            t0 = time.perf_counter()
-            verdict, exact = runner(instance, spec.seed, trials)
-            seconds[name] += time.perf_counter() - t0
-            verdicts.append((name, family, verdict, exact))
-
-        hard: Optional[Disagreement] = None
-        stat: Optional[Disagreement] = None
-        negative = ("no", "probably-no")
-        for (na, fa, va, ea), (nb, fb, vb, eb) in itertools.combinations(verdicts, 2):
-            if fa != fb or va == vb:
-                continue
-            if va in negative and vb in negative:
-                continue   # both lean no; the weaker one is not a conflict
-            if "probably-no" in (va, vb):
-                if stat is None:
-                    stat = Disagreement(i, na, nb, va, vb, "statistical",
-                                        format_em_instance(instance), spec.seed)
-            elif hard is None:
-                hard = Disagreement(i, na, nb, va, vb, "hard",
-                                    format_em_instance(instance), spec.seed)
-        if hard is not None:
-            disagreements.append(hard)
-        if stat is not None:
-            statistical.append(stat)
-
-        # Detection bookkeeping against exact ground truth, when present.
-        truth = next((v == "yes" for n_, f_, v, exact in verdicts
-                      if f_ == "em" and exact and n_ not in yes_total), None)
-        if truth:
-            for name, family, verdict, _ in verdicts:
-                if name in yes_total and family == "em":
-                    yes_total[name] += 1
-                    if verdict == "yes":
-                        detected[name] += 1
-
-    return CampaignReport(
-        instances_run=count,
-        agreements=count - len(disagreements),
-        disagreements=tuple(disagreements),
-        statistical_events=tuple(statistical),
-        engine_seconds=tuple(sorted(seconds.items())),
-        detection=tuple((name, detected[name], yes_total[name])
-                        for name in sorted(yes_total)),
-        seed=template.seed)
+    specs = (replace(template, seed=template.seed + i) for i in range(count))
+    cases = ((i, gen_instance(spec), spec.seed) for i, spec in enumerate(specs))
+    return _cross_check(cases, {name: ENGINES[name] for name in engines},
+                        trials, template.seed)

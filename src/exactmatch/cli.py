@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .algebraic import EmDecision, yes_and_error
 from .campaign import (
+    ENGINES,
     SOLVERS,
     exhaustive_sweep,
     merge_reports,
@@ -124,7 +125,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for (n, extra), share in zip(_VERIFY_SIZES, shares):
             template = GenSpec(n=n, extra_edges=extra, red_prob=0.5,
                                seed=args.seed + offset)
-            reports.append(randomized_campaign(share, template))
+            reports.append(randomized_campaign(share, template, engines=tuple(ENGINES)))
             offset += share
         report = merge_reports(reports, args.seed)
     if args.json:

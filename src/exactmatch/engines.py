@@ -274,10 +274,10 @@ def brute_tkpm(instance: TkpmInstance) -> Optional[tuple[Matching, int]]:
     graph, k = instance.graph, instance.k
     class_weights = graph.class_weights
     best: Optional[Matching] = None
-    best_value = -1
+    best_value = 0
     for chosen, counts in _leaves(graph, None):
         value = _top_k(class_weights, counts, k)
-        if value > best_value:
+        if best is None or value > best_value:
             best, best_value = tuple(sorted(chosen)), value
     if best is None:
         return None

@@ -26,11 +26,12 @@ edge, then the forced edges), which makes serialized gadgets byte-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-# brute_tkpm stays importable from here as the optimisation oracle that
-# callers pass as tkpm_solver
-from .engines import brute_tkpm, tkpm_reaches  # noqa: F401
+from .engines import EnumerationBudget, tkpm_reaches
+# brute_tkpm is imported here only because bench/tracing.TARGETS wraps
+# reduction.brute_tkpm
+from .engines import brute_tkpm  # noqa: F401
 from .graphs import (
     RED,
     EmInstance,
@@ -44,8 +45,6 @@ from .graphs import (
 _RED_PATH_WEIGHTS = (0, 2, 3, 2, 0)
 _BLUE_PATH_WEIGHTS = (0, 0, 0, 0, 0)
 _FORCED_EDGE_WEIGHT = 2
-
-TkpmSolver = Callable[[TkpmInstance], Optional[tuple[Matching, int]]]
 
 
 @dataclass(frozen=True)
@@ -168,26 +167,20 @@ def lifted_value(gadget_map: GadgetMap, matching: Matching) -> int:
     return top_k_weight(gadget_map.gadget.graph.weights, lifted, gadget_map.kprime)
 
 
-def decide_em_via_tkpm(instance: EmInstance, tkpm_solver: Optional[TkpmSolver] = None) -> bool:
+def decide_em_via_tkpm(instance: EmInstance,
+                       budget: Optional[EnumerationBudget] = None) -> bool:
     """Decide exact matching through the gadget: build it and ask whether
     some perfect matching reaches the threshold 4R + k on its top-k' weight.
 
-    By default this is the threshold decision tkpm_reaches, which stops at
-    the first gadget matching that reaches the threshold. The gadget's
+    This is gadgetize plus the threshold decision tkpm_reaches, which stops
+    at the first gadget matching that reaches the threshold. The gadget's
     forced edges are settled in one initial forced-move pass, before any
     branching. Since no gadget matching exceeds the threshold, a first hit
-    is also optimal. With an explicit tkpm_solver (brute_tkpm, say), the
-    solver's optimum is compared against the threshold instead; a gadget
-    without any perfect matching decides no either way.
+    is also optimal. A gadget without any perfect matching decides no.
+    Budget exhaustion propagates.
     """
     gadget, gadget_map = gadgetize(instance)
-    if tkpm_solver is None:
-        return tkpm_reaches(gadget, gadget_map.threshold)
-    result = tkpm_solver(gadget)
-    if result is None:
-        return False
-    _, value = result
-    return value >= gadget_map.threshold
+    return tkpm_reaches(gadget, gadget_map.threshold, budget)
 
 
 def format_gadget_map(gadget_map: GadgetMap) -> str:

@@ -28,6 +28,7 @@ from exactmatch.engines import EnumerationBudget, brute_em
 from exactmatch.formats import parse_em_instance
 from exactmatch.generator import GenSpec
 from exactmatch.graphs import BLUE, ColoredGraph, EmInstance, validate_instance
+from exactmatch.reduction import decide_em_via_tkpm
 
 
 def pairs_of(n):
@@ -193,8 +194,23 @@ def test_budgeted_gadget_decision_stops_at_first_hit():
     # both perfect matchings of the all-blue C4 reach the threshold at
     # k = 0, so a one-matching budget suffices
     c4 = ColoredGraph(4, ((0, 1, BLUE), (1, 2, BLUE), (2, 3, BLUE), (0, 3, BLUE)))
-    assert campaign._tkpm_decide_budgeted(EmInstance(c4, 0),
-                                          EnumerationBudget(max_matchings=1))
+    assert decide_em_via_tkpm(EmInstance(c4, 0), EnumerationBudget(max_matchings=1))
+
+
+def test_exhaustive_sweep_reports_replayable_hard_disagreements(monkeypatch):
+    monkeypatch.setattr(campaign, "decide_em_via_tkpm", lambda inst, budget=None: True)
+    report = exhaustive_sweep(2)
+    stream = list(exhaustive_instances(2))
+    assert report.instances_run == len(stream) == 4
+    assert report.disagreements and not report.statistical_events
+    assert report.agreements == report.instances_run - len(report.disagreements)
+    for d in report.disagreements:
+        assert (d.kind, d.engine_a, d.engine_b) == ("hard", "brute-em", "via-tkpm")
+        assert (d.verdict_a, d.verdict_b) == ("no", "yes")
+        assert d.seed is None
+        instance = parse_em_instance(d.instance_text)
+        assert instance == stream[d.instance_id]
+        assert brute_em(instance) is None
 
 
 def test_report_invariant_enforced():

@@ -253,6 +253,16 @@ def test_verify_random(capsys):
     assert "disagreements 0" in out
 
 
+def test_verify_random_runs_every_engine(tmp_path, capsys):
+    report_file = tmp_path / "report.json"
+    assert main(["verify", "--random", "--count", "24", "--seed", "5",
+                 "--json", str(report_file)]) == 0
+    doc = json.loads(report_file.read_text())
+    assert doc["engine_seconds"].keys() == {
+        "algebraic", "brute-cpm", "brute-em", "cpm-via-em", "via-tkpm"}
+    assert [row["engine"] for row in doc["detection"]] == ["algebraic"]
+
+
 def test_verify_random_requires_count(capsys):
     assert main(["verify", "--random"]) == 2
     assert "--count" in capsys.readouterr().err

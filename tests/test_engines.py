@@ -237,6 +237,13 @@ def test_brute_tkpm_k_zero_still_requires_pm():
     assert brute_tkpm(TkpmInstance(WeightedGraph(2, ((0, 1, 9),)), 0)) == ((0,), 0)
 
 
+def test_brute_tkpm_negative_weights_still_find_the_optimum():
+    assert brute_tkpm(TkpmInstance(WeightedGraph(2, ((0, 1, -5),)), 1)) == ((0,), -5)
+    # two perfect matchings of value -3 tie; the first in canonical order wins
+    c4w = WeightedGraph(4, ((0, 1, -1), (1, 2, -2), (2, 3, -2), (0, 3, -1)))
+    assert brute_tkpm(TkpmInstance(c4w, 2)) == ((0, 2), -3)
+
+
 def random_sparse_weighted_graph(rng, n_max=8):
     """A weighted graph on at most n_max vertices, shuffled, built from
     isolated edges, pendant vertices, isolated vertices and a random core,

@@ -225,12 +225,6 @@ def test_decide_no_red_edges_positive_k():
     assert decide_em_via_tkpm(EmInstance(c4_blue, 0))
 
 
-def test_decide_accepts_injected_solver():
-    inst = EmInstance(K2_RED, 1)
-    assert not decide_em_via_tkpm(inst, tkpm_solver=lambda g: None)
-    assert decide_em_via_tkpm(inst, tkpm_solver=lambda g: ((), 10 ** 9))
-
-
 def test_decide_no_pm_at_all():
     star = ColoredGraph(4, ((0, 1, RED), (0, 2, RED), (0, 3, RED)))
     for k in range(3):
