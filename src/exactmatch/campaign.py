@@ -169,66 +169,37 @@ def merge_reports(reports, seed: int) -> CampaignReport:
 @lru_cache(maxsize=None)
 def graph_classes_with_pm(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Every isomorphism class of simple graphs on n vertices containing a
-    perfect matching, one representative edge tuple per class.
+    perfect matching, one representative edge tuple per class, ordered by
+    edge count and then by adjacency bitmask.
 
-    Any graph with a perfect matching can be relabeled so the matching is
-    {(0,1), (2,3), ...}, so scanning all supergraphs of that fixed matching
-    and deduplicating by canonical form (the minimum adjacency bitmask over
-    all vertex relabelings) covers every class exactly once.
+    The representative is the class's canonical form, the minimum adjacency
+    bitmask over all vertex relabelings. Scanning the masks in ascending
+    order, the first one not yet seen is the minimum of its orbit; its whole
+    orbit is then marked seen. The class has a perfect matching exactly when
+    some image in the orbit contains the fixed matching {(0,1), (2,3), ...}.
     """
     if n % 2 or not 2 <= n <= 6:
         raise ValueError("isomorphism-exact enumeration supports even n in 2..6 only")
     pairs = tuple(itertools.combinations(range(n), 2))
     index = {p: i for i, p in enumerate(pairs)}
-    nbits = len(pairs)
-    lo_bits = min(8, nbits)
-    lo_mask = (1 << lo_bits) - 1
-
-    # Per-relabeling bitmask remap, split into two table lookups for speed.
-    def build_table(bit_to: list[int], start: int, width: int) -> list[int]:
-        table = [0] * (1 << width)
-        for x in range(1 << width):
-            acc = 0
-            y = x
-            i = start
-            while y:
-                if y & 1:
-                    acc |= 1 << bit_to[i]
-                y >>= 1
-                i += 1
-            table[x] = acc
-        return table
-
-    tables = []
-    for perm in itertools.permutations(range(n)):
-        bit_to = [index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
-        tables.append((build_table(bit_to, 0, lo_bits),
-                       build_table(bit_to, lo_bits, nbits - lo_bits)))
-
-    base = 0
-    for v in range(0, n, 2):
-        base |= 1 << index[(v, v + 1)]
-    free = [i for i in range(nbits) if not (base >> i) & 1]
-
-    canonical = set()
-    for bits in range(1 << len(free)):
-        mask = base
-        b = bits
-        for i in free:
-            if b & 1:
-                mask |= 1 << i
-            b >>= 1
-        best = mask
-        for lo, hi in tables:
-            new = lo[mask & lo_mask] | hi[mask >> lo_bits]
-            if new < best:
-                best = new
-        canonical.add(best)
-
+    # per relabeling, the image bit of each edge bit
+    relabel = [[1 << index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+               for perm in itertools.permutations(range(n))]
+    matching = sum(1 << index[(v, v + 1)] for v in range(0, n, 2))
+    seen = bytearray(1 << len(pairs))
     classes = []
-    for mask in sorted(canonical, key=lambda m: (bin(m).count("1"), m)):
-        classes.append(tuple(pairs[i] for i in range(nbits) if (mask >> i) & 1))
-    return tuple(classes)
+    for mask in range(1 << len(pairs)):
+        if seen[mask]:
+            continue
+        bits = [i for i in range(len(pairs)) if mask >> i & 1]
+        has_pm = False
+        for bit_of in relabel:
+            image = sum(bit_of[i] for i in bits)
+            seen[image] = 1
+            has_pm = has_pm or image & matching == matching
+        if has_pm:
+            classes.append(tuple(pairs[i] for i in bits))
+    return tuple(sorted(classes, key=len))
 
 
 def _sampled_pm_graphs(n: int, count: int, rng: random.Random):
@@ -251,9 +222,11 @@ def _sampled_pm_graphs(n: int, count: int, rng: random.Random):
 
 
 def _colorings(m: int, cap: int, rng: random.Random) -> Iterator[int]:
-    """All 2^m red/blue colorings as bitmasks when m <= 10, else a seeded
-    sample of cap distinct ones."""
-    if m <= 10:
+    """All 2^m red/blue colorings as bitmasks when m <= 10 or 2^m <= cap,
+    else a seeded sample of cap distinct ones."""
+    if cap < 1:
+        raise ValueError("colorings_cap must be at least 1")
+    if m <= 10 or 1 << m <= cap:
         yield from range(1 << m)
         return
     seen: set[int] = set()
@@ -271,6 +244,8 @@ def exhaustive_instances(
     n <= max_n, every graph class that can have a perfect matching (all
     isomorphism classes for n <= 6, seeded samples at n = 8), crossed with
     edge colorings and every k in 0..n/2."""
+    if max_n < 2:
+        raise ValueError("max_n must be at least 2")
     if max_n > 8:
         raise ValueError("max_n must be at most 8 (cost guard)")
     rng = random.Random(seed)

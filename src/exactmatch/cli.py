@@ -47,8 +47,8 @@ from .reduction import decide_em_via_tkpm  # noqa: F401
 
 # n -> default extra edge count for the mixed-size randomized verify
 _VERIFY_SIZES = ((2, 0), (4, 2), (6, 5), (8, 9))
-# every `solve --engine` name, in the order usage and errors list them
-_ENGINE_NAMES = ("brute", "algebraic", "via-tkpm", "via-em")
+# every `solve --engine` name, in SOLVERS order
+_ENGINE_NAMES = tuple(dict.fromkeys(engine for _, engine in SOLVERS))
 
 
 def _read_instance(path: str, parse):

@@ -1,9 +1,11 @@
 """Graph, coloring, weighting, and matching data model.
 
 Vertices are dense integer ids 0..n-1. Edges are stored as an ordered list
-of tuples with endpoints normalized so that u < v; the id of an edge is its
-position in that list and never changes. A matching is a sorted tuple of
-edge ids. Each graph type also sorts its edges into classes, numbered
+of tuples; the id of an edge is its position in that list and never
+changes. The constructors keep each edge's endpoints as given: `formats`
+normalizes them to u < v on parse and `validate` rejects u > v, but neither
+the perfect-matching search nor `canonical_sort_key` relies on the order. A
+matching is a sorted tuple of edge ids. Each graph type also sorts its edges into classes, numbered
 0..num_classes-1, for the perfect-matching search's running per-class
 counts. All types are immutable after construction and all functions here
 are pure, so values can be shared freely between workers.

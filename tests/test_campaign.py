@@ -75,6 +75,15 @@ def edges_to_mask(edges, index):
     return mask
 
 
+def assert_canonical_and_ordered(n, reps, pairs, index):
+    """Each representative is its class's canonical form (the sweep's
+    instance ids depend on it), listed by (edge count, mask)."""
+    masks = [edges_to_mask(r, index) for r in reps]
+    assert masks == [naive_canon(n, mask, pairs, index) for mask in masks]
+    assert masks == sorted(masks, key=lambda m: (bin(m).count("1"), m))
+    assert all(r == tuple(sorted(r)) for r in reps)
+
+
 def test_classes_n2():
     assert graph_classes_with_pm(2) == (((0, 1),),)
 
@@ -91,6 +100,7 @@ def test_classes_n4_match_independent_oracle():
     assert len(reps) == 6
     rep_canon = {naive_canon(n, edges_to_mask(r, index), pairs, index) for r in reps}
     assert rep_canon == oracle_canon
+    assert_canonical_and_ordered(n, reps, pairs, index)
 
 
 def test_classes_n6_distinct_and_complete():
@@ -105,6 +115,7 @@ def test_classes_n6_distinct_and_complete():
     # pairwise distinct up to isomorphism, exactly
     canon = {naive_canon(n, mask, pairs, index) for mask in masks}
     assert len(canon) == len(reps)
+    assert_canonical_and_ordered(n, reps, pairs, index)
     # sampled completeness: random PM-having graphs all land in some class
     rng = random.Random(8)
     found = 0
@@ -150,6 +161,52 @@ def test_exhaustive_instances_n4_count_and_determinism():
 def test_exhaustive_instances_cost_guard():
     with pytest.raises(ValueError, match="at most 8"):
         list(exhaustive_instances(10))
+
+
+def test_exhaustive_instances_n6_count():
+    assert sum(1 for _ in exhaustive_instances(6)) == 136_456
+
+
+@pytest.mark.parametrize("max_n", [1, 0, -2])
+def test_exhaustive_instances_rejects_empty_sweep(max_n):
+    with pytest.raises(ValueError, match="at least 2"):
+        list(exhaustive_instances(max_n))
+
+
+def test_colorings_all_when_cap_covers_them():
+    # 2^11 = 2048 colorings fit under a cap of 5000: all of them, in order,
+    # instead of a sampling loop that could never collect 5000 distinct ones
+    assert list(campaign._colorings(11, 5000, random.Random(0))) == list(range(2048))
+    assert list(campaign._colorings(11, 2048, random.Random(0))) == list(range(2048))
+    assert list(campaign._colorings(3, 1, random.Random(0))) == list(range(8))
+
+
+def test_colorings_samples_distinct_when_cap_is_below_2_to_the_m():
+    got = list(campaign._colorings(11, 2047, random.Random(4)))
+    assert len(got) == len(set(got)) == 2047
+    assert got == sorted(got) and all(0 <= bits < 2048 for bits in got)
+    again = list(campaign._colorings(11, 2047, random.Random(4)))
+    assert got == again
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_colorings_cap_below_one_is_rejected(cap):
+    with pytest.raises(ValueError, match="colorings_cap"):
+        list(campaign._colorings(3, cap, random.Random(0)))
+    with pytest.raises(ValueError, match="colorings_cap"):
+        list(exhaustive_instances(6, colorings_cap=cap))
+
+
+def test_exhaustive_instances_cap_above_2_to_the_m_yields_every_coloring():
+    # the first 11-edge class at n = 6 has 2^11 = 2048 colorings, fewer than
+    # the cap, so the stream yields all of them with every k in 0..3
+    stream = exhaustive_instances(6, colorings_cap=5000)
+    first = next(inst for inst in stream if len(inst.graph.edges) == 11)
+    rest = list(itertools.islice(stream, 4 * 2048 - 1))
+    structure = [(u, v) for u, v, _ in first.graph.edges]
+    assert all([(u, v) for u, v, _ in inst.graph.edges] == structure for inst in rest)
+    colorings = {inst.graph.colors for inst in [first] + rest}
+    assert len(colorings) == 2048
 
 
 def test_exhaustive_sweep_n2():

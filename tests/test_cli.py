@@ -246,6 +246,14 @@ def test_verify_exhaustive_requires_max_n(capsys):
     assert "--max-n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_n", ["1", "0", "-2"])
+def test_verify_exhaustive_rejects_empty_sweep(max_n, capsys):
+    assert main(["verify", "--exhaustive", "--max-n", max_n]) == 2
+    captured = capsys.readouterr()
+    assert "max_n must be at least 2" in captured.err
+    assert "instances" not in captured.out
+
+
 def test_verify_random(capsys):
     assert main(["verify", "--random", "--count", "24", "--seed", "5"]) == 0
     out = capsys.readouterr().out
