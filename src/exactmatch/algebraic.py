@@ -281,18 +281,18 @@ def algebraic_em_decide(
         # no perfect matching has fewer than 0 red edges, or more than n/2
         # or than the graph has
         return exact_no
+    # outside a parity decision, the vectors are shared with no one
     shared = _shared_vectors.get()
+    if shared is None:
+        shared = {}
     rng = random.Random(seed)
     transcript: list[tuple[WeightAssignment, bool]] = []
     for trial in range(trials):
         values = tuple(rng.randrange(PRIME) for _ in cells)
-        if shared is None:
-            coeffs = _field_coefficients(cells, values, size, degree)
-        else:
-            key = (cells, values, size, degree)
-            coeffs = shared.get(key)
-            if coeffs is None:
-                coeffs = shared[key] = _field_coefficients(cells, values, size, degree)
+        key = (cells, values, size, degree)
+        coeffs = shared.get(key)
+        if coeffs is None:
+            coeffs = shared[key] = _field_coefficients(*key)
         hit = coeffs[k] != 0
         transcript.append((values, hit))
         if hit:

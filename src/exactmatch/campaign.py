@@ -5,16 +5,17 @@ hands it to _cross_check, the one loop that runs, times and compares the
 engines. exhaustive_sweep covers every graph that can matter at desk scale
 (all isomorphism classes on up to 6 vertices that contain a perfect
 matching, seeded samples at n = 8), crossed with edge colorings and every
-feasible k, and compares the brute-force exact-matching oracle against the
-gadget-reduction decider. randomized_campaign compares any subset of the
-solver engines on generated instances.
+feasible k, and runs the ENGINES rows brute-em (the brute-force oracle)
+and via-tkpm (the gadget-reduction decider) on it. randomized_campaign
+compares any subset of ENGINES on generated instances.
 
 SOLVERS is the one engine table: `exactmatch solve` looks engines up in it,
-and ENGINES, the named engines the campaigns run, is derived from it.
+and ENGINES, the named engines the campaigns run, is derived from it. Its
+runners return only a verdict: "yes", "no" or "probably-no".
 
-Comparison convention: engines are exact unless they report a nonzero error
-bound. A "probably no" from a randomized engine against a brute-force "yes"
-is a statistical event, recorded separately; an impossible answer (a "yes"
+Comparison convention: a verdict is exact unless it is "probably-no". A
+"probably no" from a randomized engine against a brute-force "yes" is a
+statistical event, recorded separately; an impossible answer (a "yes"
 against a brute-force "no", or two exact answers differing) is a hard
 disagreement. Every reported event embeds the serialized instance so it can
 be replayed on its own.
@@ -26,7 +27,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
@@ -95,36 +96,24 @@ class CampaignReport:
 
 
 def report_to_json(report: CampaignReport) -> str:
-    """Serialize a report with a stable field order so runs can be diffed."""
-    def event(d: Disagreement) -> dict:
-        doc = {
-            "instance_id": d.instance_id,
-            "engine_a": d.engine_a,
-            "engine_b": d.engine_b,
-            "verdict_a": d.verdict_a,
-            "verdict_b": d.verdict_b,
-            "kind": d.kind,
-            "instance_text": d.instance_text,
-        }
-        if d.seed is not None:
-            doc["seed"] = d.seed
-        return doc
+    """Serialize a report with a stable field order so runs can be diffed:
+    the dataclass fields in declaration order, events sorted by instance id
+    without a None seed, engine seconds as a name-sorted dict rounded to 6
+    places, and detection as records."""
+    def events(records: tuple[Disagreement, ...]) -> list[dict]:
+        docs = [asdict(d) for d in sorted(records, key=lambda d: d.instance_id)]
+        for doc in docs:
+            if doc["seed"] is None:
+                del doc["seed"]
+        return docs
 
-    doc = {
-        "instances_run": report.instances_run,
-        "agreements": report.agreements,
-        "disagreements": [event(d) for d in
-                          sorted(report.disagreements, key=lambda d: d.instance_id)],
-        "statistical_events": [event(d) for d in
-                               sorted(report.statistical_events, key=lambda d: d.instance_id)],
-        "engine_seconds": {name: round(sec, 6)
-                           for name, sec in sorted(report.engine_seconds)},
-        "detection": [{"engine": name, "detected": det, "yes_total": tot}
-                      for name, det, tot in report.detection],
-        "seed": report.seed,
-        "skipped": report.skipped,
-        "budget_notes": list(report.budget_notes),
-    }
+    doc = {f.name: getattr(report, f.name) for f in fields(report)}
+    doc.update(
+        disagreements=events(report.disagreements),
+        statistical_events=events(report.statistical_events),
+        engine_seconds={name: round(sec, 6) for name, sec in sorted(report.engine_seconds)},
+        detection=[{"engine": name, "detected": det, "yes_total": tot}
+                   for name, det, tot in report.detection])
     return json.dumps(doc, indent=2)
 
 
@@ -266,46 +255,44 @@ def exhaustive_instances(
 
 
 # (problem, `solve --engine` name) -> (campaign engine name or None,
-# bipartite-only, solve(instance, seed, trials)): the one place to add an
-# engine. The callables look their engine up in this module at call time.
+# bipartite-only, solve(instance, seed, trials, budget)): the one place to
+# add an engine. Each callable uses only the options its engine has, and
+# looks the engine up in this module at call time.
 SOLVERS: dict[tuple[str, str], tuple[Optional[str], bool, Callable]] = {
-    ("em", "brute"): ("brute-em", False, lambda inst, seed, trials: brute_em(inst)),
+    ("em", "brute"): ("brute-em", False, lambda inst, seed, trials, budget: brute_em(inst, budget)),
     ("em", "via-tkpm"): ("via-tkpm", False,
-                         lambda inst, seed, trials: decide_em_via_tkpm(inst)),
-    ("em", "algebraic"): ("algebraic", True, lambda inst, seed, trials:
+                         lambda inst, seed, trials, budget: decide_em_via_tkpm(inst, budget)),
+    ("em", "algebraic"): ("algebraic", True, lambda inst, seed, trials, budget:
                           algebraic_em_decide(inst, trials=trials, seed=seed)),
-    ("tkpm", "brute"): (None, False, lambda inst, seed, trials: brute_tkpm(inst)),
-    ("cpm", "brute"): ("brute-cpm", False, lambda inst, seed, trials: brute_cpm(inst)),
-    ("cpm", "via-em"): ("cpm-via-em", False, lambda inst, seed, trials: cpm_via_em(inst)),
-    ("bcpm", "brute"): (None, False, lambda inst, seed, trials: brute_bcpm(inst)),
-    ("bcpm", "via-em"): (None, False, lambda inst, seed, trials: bcpm_via_em(inst)),
+    ("tkpm", "brute"): (None, False, lambda inst, seed, trials, budget: brute_tkpm(inst)),
+    ("cpm", "brute"): ("brute-cpm", False, lambda inst, seed, trials, budget: brute_cpm(inst)),
+    ("cpm", "via-em"): ("cpm-via-em", False, lambda inst, seed, trials, budget: cpm_via_em(inst)),
+    ("bcpm", "brute"): (None, False, lambda inst, seed, trials, budget: brute_bcpm(inst)),
+    ("bcpm", "via-em"): (None, False, lambda inst, seed, trials, budget: bcpm_via_em(inst)),
 }
 
 
-def _verdict(solve: Callable) -> Callable[[EmInstance, int, int], tuple[str, bool]]:
-    """A campaign runner: the solve result as (verdict, exact); a "no" is
-    exact only when it carries no error bound."""
-    def run(instance: EmInstance, seed: int, trials: int) -> tuple[str, bool]:
-        yes, error = yes_and_error(solve(instance, seed, trials))
-        if yes:
-            return "yes", True
-        return ("no", True) if error == 0.0 else ("probably-no", False)
+def _verdict(solve: Callable) -> Callable[..., str]:
+    """A campaign runner: the solve result as "yes", "no", or "probably-no"
+    for a "no" that carries an error bound."""
+    def run(instance, seed, trials, budget) -> str:
+        yes, error = yes_and_error(solve(instance, seed, trials, budget))
+        return "yes" if yes else "no" if error == 0.0 else "probably-no"
     return run
 
 
 # name -> (problem family, bipartite-only, verdict runner)
-ENGINES: dict[str, tuple[str, bool, Callable[[EmInstance, int, int], tuple[str, bool]]]] = {
+ENGINES: dict[str, tuple[str, bool, Callable[..., str]]] = {
     name: (problem, bipartite, _verdict(solve))
     for (problem, _), (name, bipartite, solve) in SOLVERS.items() if name is not None}
 
 
-
-
-def _cross_check(cases, engines: dict, trials: int, seed: int) -> CampaignReport:
+def _cross_check(cases, engines: dict, trials: int,
+                 budget: Optional[EnumerationBudget], seed: int) -> CampaignReport:
     """The one cross-check loop behind both campaigns.
 
     cases yields (instance id, instance, seed or None); engines maps a name
-    to an ENGINES entry, and each runner is called with the case's seed.
+    to an ENGINES entry, and each runner gets the case's seed, trials, budget.
     Bipartite-only engines sit out non-bipartite instances, and detection
     counts their yes answers on instances an exact engine answered yes.
     Verdicts are compared pairwise within a problem family, keeping at most
@@ -325,25 +312,25 @@ def _cross_check(cases, engines: dict, trials: int, seed: int) -> CampaignReport
 
     for iid, instance, case_seed in cases:
         bipartite = bool(bipartite_only) and find_bipartition(instance.graph) is not None
-        # (name, family, verdict, exact, seconds) of each engine that ran
-        verdicts: list[tuple[str, str, str, bool, float]] = []
+        # (name, family, verdict, seconds) of each engine that ran
+        verdicts: list[tuple[str, str, str, float]] = []
         try:
             for name, (family, needs_bipartite, runner) in engines.items():
                 if needs_bipartite and not bipartite:
                     continue
                 t0 = time.perf_counter()
-                verdict, exact = runner(instance, case_seed, trials)
-                verdicts.append((name, family, verdict, exact, time.perf_counter() - t0))
+                verdict = runner(instance, case_seed, trials, budget)
+                verdicts.append((name, family, verdict, time.perf_counter() - t0))
         except BudgetExhausted as exc:
             skipped += 1
             notes.append(f"instance {iid}: skipped, {exc}\n{format_em_instance(instance)}")
             continue
         run += 1
-        for name, _, _, _, elapsed in verdicts:
+        for name, _, _, elapsed in verdicts:
             seconds[name] += elapsed
 
         found: dict[str, Disagreement] = {}   # kind -> first event of that kind
-        for (na, fa, va, _, _), (nb, fb, vb, _, _) in itertools.combinations(verdicts, 2):
+        for (na, fa, va, _), (nb, fb, vb, _) in itertools.combinations(verdicts, 2):
             if fa != fb or va == vb:
                 continue
             if va in negative and vb in negative:
@@ -358,10 +345,10 @@ def _cross_check(cases, engines: dict, trials: int, seed: int) -> CampaignReport
             statistical.append(found["statistical"])
 
         # Detection bookkeeping against exact ground truth, when present.
-        truth = next((v == "yes" for n_, f_, v, exact, _ in verdicts
-                      if f_ == "em" and exact and n_ not in yes_total), None)
+        truth = next((v == "yes" for n_, f_, v, _ in verdicts
+                      if f_ == "em" and v != "probably-no" and n_ not in yes_total), None)
         if truth:
-            for name, family, verdict, _, _ in verdicts:
+            for name, family, verdict, _ in verdicts:
                 if name in yes_total and family == "em":
                     yes_total[name] += 1
                     if verdict == "yes":
@@ -386,21 +373,17 @@ def exhaustive_sweep(
         seed: int = 0,
         budget: Optional[EnumerationBudget] = None,
         ) -> CampaignReport:
-    """Compare brute_em against decide_em_via_tkpm over the covering stream.
+    """Compare the ENGINES rows brute-em and via-tkpm, both given the
+    budget, over the covering stream.
 
     With a budget, an instance on which either engine exhausts it is skipped
     and recorded in budget_notes (it does not count as run); the default is
     unbudgeted, which always terminates at these sizes.
     """
-    engines = {
-        "brute-em": ("em", False, _verdict(
-            lambda inst, _seed, _trials: brute_em(inst, budget))),
-        "via-tkpm": ("em", False, _verdict(
-            lambda inst, _seed, _trials: decide_em_via_tkpm(inst, budget))),
-    }
     cases = ((iid, instance, None) for iid, instance
              in enumerate(exhaustive_instances(max_n, colorings_cap, seed)))
-    return _cross_check(cases, engines, 1, seed)
+    engines = {name: ENGINES[name] for name in ("brute-em", "via-tkpm")}
+    return _cross_check(cases, engines, 1, budget, seed)
 
 
 def randomized_campaign(
@@ -411,7 +394,9 @@ def randomized_campaign(
         ) -> CampaignReport:
     """Generate count instances from the template (seed advancing by one per
     instance) and cross-check the named engines pairwise within each problem
-    family. Bipartite-only engines sit out non-bipartite instances.
+    family. Bipartite-only engines sit out non-bipartite instances. Raises
+    ValueError for an unknown or repeated engine name, and when no problem
+    family has two of the named engines, since nothing would be compared.
 
     The detection field reports, for each randomized engine, how many
     brute-force-confirmed yes instances it answered yes on, which is the
@@ -419,10 +404,15 @@ def randomized_campaign(
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    unknown = [name for name in engines if name not in ENGINES]
-    if unknown:
-        raise ValueError(f"unknown engine name: {unknown[0]}")
+    for i, name in enumerate(engines):
+        if name not in ENGINES:
+            raise ValueError(f"unknown engine name: {name}")
+        if name in engines[:i]:
+            raise ValueError(f"repeated engine name: {name}")
+    families = [ENGINES[name][0] for name in engines]
+    if all(families.count(family) < 2 for family in families):
+        raise ValueError("no problem family has two of the named engines to compare")
     specs = (replace(template, seed=template.seed + i) for i in range(count))
     cases = ((i, gen_instance(spec), spec.seed) for i, spec in enumerate(specs))
     return _cross_check(cases, {name: ENGINES[name] for name in engines},
-                        trials, template.seed)
+                        trials, None, template.seed)

@@ -19,7 +19,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .algebraic import EmDecision, yes_and_error
+from .algebraic import DEFAULT_TRIALS, EmDecision, yes_and_error
 from .campaign import (
     ENGINES,
     SOLVERS,
@@ -29,7 +29,6 @@ from .campaign import (
     report_to_json,
 )
 from .formats import (
-    InstanceFormatError,
     format_em_instance,
     format_matching,
     format_tkpm_instance,
@@ -91,7 +90,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
               f"{args.problem} (choose from {', '.join(choices)})", file=sys.stderr)
         return 2
     parse = parse_tkpm_instance if args.problem == "tkpm" else parse_em_instance
-    result = row[2](_read_instance(args.infile, parse), args.seed, args.trials)
+    result = row[2](_read_instance(args.infile, parse), args.seed, args.trials, None)
     yes, error = yes_and_error(result)
     if not yes:
         print("no")
@@ -115,8 +114,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return 2
         report = exhaustive_sweep(args.max_n, seed=args.seed)
     else:
-        if args.count is None:
-            print("error: --random requires --count", file=sys.stderr)
+        if args.count is None or args.count < 1:
+            print("error: --random requires a --count of at least 1", file=sys.stderr)
             return 2
         shares = [args.count // len(_VERIFY_SIZES)] * len(_VERIFY_SIZES)
         shares[-1] += args.count - sum(shares)
@@ -171,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--engine",
                        choices=_ENGINE_NAMES,
                        help="solver engine (default brute)")
-    solve.add_argument("--trials", type=int, default=40,
+    solve.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                        help="trial count for the algebraic engine")
     solve.add_argument("--seed", type=int, default=None,
                        help="seed for the algebraic engine")
@@ -193,10 +192,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:   # InstanceFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -225,9 +225,7 @@ def _leaves(graph: Graph, budget: Optional[EnumerationBudget]):
 
 def _top_k(class_weights: tuple[int, ...], counts: list[int], k: int) -> int:
     """top_k_weight of a leaf, from its class counts: k edges taken from
-    the heaviest class down."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    the heaviest class down; k is non-negative."""
     total = 0
     for weight, count in zip(class_weights, counts):
         if count >= k:
@@ -269,9 +267,12 @@ def brute_tkpm(instance: TkpmInstance) -> Optional[tuple[Matching, int]]:
     """Perfect matching maximizing the top-k weight, with the maximum value.
 
     Ties go to the first maximizer in canonical enumeration order. Returns
-    None when the graph has no perfect matching.
+    None when the graph has no perfect matching. Raises ValueError for a
+    negative k.
     """
     graph, k = instance.graph, instance.k
+    if k < 0:
+        raise ValueError("k must be non-negative")
     class_weights = graph.class_weights
     best: Optional[Matching] = None
     best_value = 0
@@ -288,8 +289,11 @@ def tkpm_reaches(instance: TkpmInstance, threshold: int,
                  budget: Optional[EnumerationBudget] = None) -> bool:
     """Decision form of TkPM: True iff some perfect matching has top-k
     weight at least threshold. Stops at the first such matching, so it
-    ranks nothing and finds no optimum. Budget exhaustion propagates."""
+    ranks nothing and finds no optimum. Raises ValueError for a negative k;
+    budget exhaustion propagates."""
     graph, k = instance.graph, instance.k
+    if k < 0:
+        raise ValueError("k must be non-negative")
     class_weights = graph.class_weights
     return any(_top_k(class_weights, counts, k) >= threshold
                for _, counts in _leaves(graph, budget))

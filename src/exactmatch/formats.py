@@ -127,12 +127,15 @@ def format_tkpm_instance(instance: TkpmInstance) -> str:
 
 
 def format_matching(matching: Matching) -> str:
-    ids = sorted(set(matching))
+    """One 'm <count> <edge-id>...' record, ids sorted; a repeated id is
+    written as often as it occurs, so the record shows it."""
+    ids = sorted(matching)
     return " ".join(["m", str(len(ids))] + [str(i) for i in ids])
 
 
 def parse_matching(line: str, lineno: int = 1) -> Matching:
-    """Parse one 'm <count> <edge-id>...' record."""
+    """Parse one 'm <count> <edge-id>...' record into sorted edge ids; an id
+    listed twice is an error."""
     fields = line.split()
     if len(fields) < 2 or fields[0] != "m":
         raise InstanceFormatError(f"line {lineno}: malformed matching, expected 'm <count> <ids>'")
@@ -141,4 +144,8 @@ def parse_matching(line: str, lineno: int = 1) -> Matching:
     if count != len(ids):
         raise InstanceFormatError(
             f"line {lineno}: matching declares {count} edges but lists {len(ids)}")
-    return tuple(sorted(set(ids)))
+    ids.sort()
+    for a, b in zip(ids, ids[1:]):
+        if a == b:
+            raise InstanceFormatError(f"line {lineno}: edge id {a} is listed twice")
+    return tuple(ids)

@@ -191,12 +191,13 @@ def _check_edge_ids(graph: Graph, matching: Iterable[int]) -> Matching:
 
 def is_perfect_matching(graph: Graph, matching: Iterable[int]) -> bool:
     """True iff the edges are pairwise vertex-disjoint and cover all vertices.
+    A repeated edge id shares its endpoints with itself, so it is never a
+    perfect matching.
 
     Raises ValueError when the matching refers to a nonexistent edge id.
     """
-    m = set(_check_edge_ids(graph, matching))
     covered: set[int] = set()
-    for eid in m:
+    for eid in _check_edge_ids(graph, matching):
         e = graph.edges[eid]
         u, v = e[0], e[1]
         if u in covered or v in covered:

@@ -70,9 +70,12 @@ def gadgetize(instance: EmInstance) -> tuple[TkpmInstance, GadgetMap]:
 
     The gadget has n + 4m + 2k vertices and 5m + k edges, all weights in
     {0, 2, 3}, asks for the top 2R weights, and decides against threshold
-    4R + k, where R is the number of red source edges.
+    4R + k, where R is the number of red source edges. Raises ValueError
+    for a negative k, which has no gadget.
     """
     graph, k = instance.graph, instance.k
+    if k < 0:
+        raise ValueError("k must be non-negative")
     n, m = graph.n, len(graph.edges)
     num_red = graph.num_red
 
@@ -176,9 +179,12 @@ def decide_em_via_tkpm(instance: EmInstance,
     at the first gadget matching that reaches the threshold. The gadget's
     forced edges are settled in one initial forced-move pass, before any
     branching. Since no gadget matching exceeds the threshold, a first hit
-    is also optimal. A gadget without any perfect matching decides no.
+    is also optimal. A gadget without any perfect matching decides no, and
+    so does a negative k, since no matching has fewer than 0 red edges.
     Budget exhaustion propagates.
     """
+    if instance.k < 0:
+        return False
     gadget, gadget_map = gadgetize(instance)
     return tkpm_reaches(gadget, gadget_map.threshold, budget)
 

@@ -14,7 +14,9 @@ from dataclasses import replace
 import pytest
 
 import exactmatch.campaign as campaign
+from exactmatch.algebraic import find_bipartition, yes_and_error
 from exactmatch.campaign import (
+    SWEEP_N8_GRAPHS,
     CampaignReport,
     Disagreement,
     exhaustive_instances,
@@ -25,9 +27,9 @@ from exactmatch.campaign import (
     report_to_json,
 )
 from exactmatch.engines import EnumerationBudget, brute_em
-from exactmatch.formats import parse_em_instance
-from exactmatch.generator import GenSpec
-from exactmatch.graphs import BLUE, ColoredGraph, EmInstance, validate_instance
+from exactmatch.formats import format_em_instance, parse_em_instance
+from exactmatch.generator import GenSpec, gen_instance
+from exactmatch.graphs import BLUE, RED, ColoredGraph, EmInstance, validate_instance
 from exactmatch.reduction import decide_em_via_tkpm
 
 
@@ -209,6 +211,42 @@ def test_exhaustive_instances_cap_above_2_to_the_m_yields_every_coloring():
     assert len(colorings) == 2048
 
 
+def test_exhaustive_instances_n8_extends_n6_with_sampled_structures():
+    n6, stream, again = exhaustive_instances(6), exhaustive_instances(8), exhaustive_instances(8)
+    # zip stops when n6 runs out, before it draws from the other two
+    assert all(a == b == c for a, b, c in zip(n6, stream, again))
+    tail = list(stream)
+    assert tail == list(again)
+    assert len(tail) == 181_016 - 136_456
+    assert {inst.graph.n for inst in tail} == {8}
+    structures = {tuple((u, v) for u, v, _ in inst.graph.edges) for inst in tail}
+    assert len(structures) == SWEEP_N8_GRAPHS == 60
+    assert all({(0, 1), (2, 3), (4, 5), (6, 7)} <= set(edges) for edges in structures)
+    for inst in tail[:2000]:
+        assert (brute_em(inst) is not None) == decide_em_via_tkpm(inst), format_em_instance(inst)
+
+
+def test_every_solver_family_agrees_on_out_of_range_k():
+    graphs = [inst.graph for inst in exhaustive_instances(4) if inst.k == 0]
+    graphs += [gen_instance(GenSpec(n=6, extra_edges=3, seed=s, bipartite=s % 2 == 0)).graph
+               for s in range(20)]
+    graphs.append(ColoredGraph(4, ((0, 1, RED), (0, 2, BLUE))))   # no perfect matching
+    for graph in graphs:
+        bipartite = find_bipartition(graph) is not None
+        for k in (-2, -1, graph.n // 2 + 1):
+            instance = EmInstance(graph, k)
+            for problem in ("em", "cpm", "bcpm"):
+                answers = {
+                    engine: yes_and_error(solve(instance, 0, 40, None))[0]
+                    for (family, engine), (_, needs_bipartite, solve) in campaign.SOLVERS.items()
+                    if family == problem and (bipartite or not needs_bipartite)}
+                assert len(answers) >= 2
+                assert len(set(answers.values())) == 1, (
+                    problem, answers, format_em_instance(instance))
+                if problem == "em":   # no matching has k red edges
+                    assert not any(answers.values())
+
+
 def test_exhaustive_sweep_n2():
     report = exhaustive_sweep(2)
     assert report.instances_run == 4
@@ -377,14 +415,22 @@ def test_randomized_campaign_cpm_family():
 def test_randomized_campaign_families_do_not_cross():
     template = GenSpec(n=4, extra_edges=2, seed=31)
     report = randomized_campaign(
-        60, template, engines=("brute-em", "brute-cpm"))
+        60, template, engines=("brute-em", "via-tkpm", "brute-cpm"))
     assert report.ok   # em and cpm verdicts differ but are never compared
+
+
+@pytest.mark.parametrize("engines", [
+    (), ("brute-em",), ("brute-em", "brute-cpm"), ("brute-em", "brute-em"),
+    ("brute-em", "via-tkpm", "brute-em")])
+def test_randomized_campaign_rejects_engine_sets_that_compare_nothing(engines):
+    with pytest.raises(ValueError, match="repeated engine name|no problem family"):
+        randomized_campaign(5, GenSpec(n=4), engines=engines)
 
 
 def test_randomized_campaign_reports_rigged_hard_disagreements(monkeypatch):
     monkeypatch.setitem(
         campaign.ENGINES, "always-yes",
-        ("em", False, lambda inst, seed, trials: ("yes", True)))
+        ("em", False, lambda inst, seed, trials, budget: "yes"))
     template = GenSpec(n=4, extra_edges=2, seed=37)
     report = randomized_campaign(60, template, engines=("brute-em", "always-yes"))
     assert report.disagreements
@@ -401,7 +447,7 @@ def test_randomized_campaign_reports_rigged_hard_disagreements(monkeypatch):
 def test_randomized_campaign_rigged_statistical_events(monkeypatch):
     monkeypatch.setitem(
         campaign.ENGINES, "hedger",
-        ("em", False, lambda inst, seed, trials: ("probably-no", False)))
+        ("em", False, lambda inst, seed, trials, budget: "probably-no"))
     template = GenSpec(n=4, extra_edges=2, seed=41)
     report = randomized_campaign(60, template, engines=("brute-em", "hedger"))
     assert not report.disagreements
@@ -422,4 +468,4 @@ def test_randomized_campaign_is_replayable():
 
 def test_algebraic_no_after_many_trials_is_not_exact():
     k2_red = parse_em_instance("p em 2 1 0\ne 0 1 r\n")
-    assert campaign.ENGINES["algebraic"][2](k2_red, 0, 1100) == ("probably-no", False)
+    assert campaign.ENGINES["algebraic"][2](k2_red, 0, 1100, None) == "probably-no"

@@ -188,7 +188,7 @@ def test_every_solver_row_agrees_with_brute_force(tmp_path, capsys, problem, eng
         assert code == (0 if yes else 1), (text, out)
         assert out[0] == (f"value {best}" if best is not None else "yes" if yes else "no")
         if name is not None:
-            verdict, _ = campaign.ENGINES[name][2](instance, 0, 40)
+            verdict = campaign.ENGINES[name][2](instance, 0, 40, None)
             assert (verdict == "yes") is yes, (name, text, verdict)
     assert answers == {True, False}
 
@@ -274,6 +274,14 @@ def test_verify_random_runs_every_engine(tmp_path, capsys):
 def test_verify_random_requires_count(capsys):
     assert main(["verify", "--random"]) == 2
     assert "--count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_verify_random_rejects_count_below_one(count, capsys):
+    assert main(["verify", "--random", "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert "--count of at least 1" in captured.err
+    assert "instances" not in captured.out
 
 
 def test_verify_reports_disagreement_with_exit_3(monkeypatch, capsys):

@@ -539,10 +539,13 @@ def test_leaf_counts_match_enumerate_then_filter():
 
 
 def test_negative_k_without_a_perfect_matching_ranks_nothing():
-    # k < 0 raises at the first leaf (see the property test above)
+    # k < 0 is rejected on entry, before the search, so it raises on a
+    # graph without perfect matchings too (see the property test above)
     no_pm = WeightedGraph(4, ((0, 1, 3),))
-    assert brute_tkpm(TkpmInstance(no_pm, -1)) is None
-    assert tkpm_reaches(TkpmInstance(no_pm, -1), 0) is False
+    with pytest.raises(ValueError, match="non-negative"):
+        brute_tkpm(TkpmInstance(no_pm, -1))
+    with pytest.raises(ValueError, match="non-negative"):
+        tkpm_reaches(TkpmInstance(no_pm, -1), 0)
 
 
 def test_brute_em_and_tkpm_reaches_take_a_budget():

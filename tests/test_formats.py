@@ -121,6 +121,15 @@ def test_matching_count_mismatch():
         parse_matching("m 1 0 4\n")
 
 
+def test_matching_repeated_id():
+    assert format_matching((0, 0)) == "m 2 0 0"
+    assert format_matching((3, 1, 3)) == "m 3 1 3 3"
+    with pytest.raises(InstanceFormatError, match="line 1: edge id 0 is listed twice"):
+        parse_matching("m 2 0 0")
+    with pytest.raises(InstanceFormatError, match="line 4: edge id 3 is listed twice"):
+        parse_matching(format_matching((3, 1, 3)), lineno=4)
+
+
 def test_matching_bad_prefix():
     with pytest.raises(InstanceFormatError, match="malformed matching"):
         parse_matching("x 1 0")

@@ -95,6 +95,12 @@ def test_is_perfect_matching_c4_opposite_edges():
     assert not is_perfect_matching(g, (0,))     # leaves 2, 3 uncovered
 
 
+def test_is_perfect_matching_rejects_repeated_edge_id():
+    g = ColoredGraph(2, ((0, 1, RED),))
+    assert not is_perfect_matching(g, (0, 0))
+    assert not is_perfect_matching(ColoredGraph(4, C4_EDGES), (0, 2, 0))
+
+
 def test_is_perfect_matching_bad_edge_id():
     g = ColoredGraph(2, ((0, 1, RED),))
     with pytest.raises(ValueError):

@@ -109,6 +109,12 @@ def test_lift_requires_source_pm():
         lift_matching((0, 1), gm)
 
 
+def test_lift_rejects_repeated_edge_id():
+    _, gm = gadgetize(EmInstance(K2_RED, 1))
+    with pytest.raises(ValueError, match="source graph"):
+        lift_matching((0, 0), gm)
+
+
 def test_project_requires_gadget_pm():
     _, gm = gadgetize(EmInstance(K2_RED, 1))
     with pytest.raises(ValueError, match="gadget graph"):
@@ -229,6 +235,13 @@ def test_decide_no_pm_at_all():
     star = ColoredGraph(4, ((0, 1, RED), (0, 2, RED), (0, 3, RED)))
     for k in range(3):
         assert not decide_em_via_tkpm(EmInstance(star, k))
+
+
+def test_negative_k_has_no_gadget_and_decides_no():
+    for k in (-1, -2):
+        with pytest.raises(ValueError, match="non-negative"):
+            gadgetize(EmInstance(C4_RED0, k))
+        assert decide_em_via_tkpm(EmInstance(C4_RED0, k)) is False
 
 
 def test_decide_on_long_path_does_not_recurse_per_forced_edge():
