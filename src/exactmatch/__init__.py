@@ -68,7 +68,7 @@ from .graphs import (
     validate,
     validate_instance,
 )
-from .polynomials import Polynomial, determinant
+from .polynomials import Polynomial
 from .reduction import (
     GadgetMap,
     decide_em_via_tkpm,
@@ -111,7 +111,6 @@ __all__ = [
     "canonical_sort_key",
     "cpm_via_em",
     "decide_em_via_tkpm",
-    "determinant",
     "enumerate_perfect_matchings",
     "exhaustive_instances",
     "exhaustive_sweep",

@@ -18,9 +18,9 @@ Cancellation is real: an unlucky draw can zero the coefficient of a
 nonzero polynomial, so a zero value never proves the absence of a
 perfect matching.
 
-symbolic_determinant keeps the exact big-integer route, with isolation
+symbolic_determinant keeps an exact big-integer route, with isolation
 weights 2^w in place of field values, as a reference that tests and
-demos compare against.
+demos compare against: one integer determinant at y = 2^s.
 
 Parity matching (red count congruent to k mod 2, optionally bounded by k)
 is decided here as well, by one exact-matching query per feasible red count
@@ -42,7 +42,7 @@ from typing import Callable, Optional, Union
 
 from .engines import brute_em
 from .graphs import RED, ColoredGraph, EmInstance, Matching
-from .polynomials import Polynomial, determinant
+from .polynomials import Polynomial
 
 DEFAULT_TRIALS = 40
 PRIME = (1 << 30) - 35      # below 2^30, so every residue is one CPython digit
@@ -163,6 +163,30 @@ def _cells(graph: ColoredGraph, bipartition: Bipartition) -> tuple[tuple[int, in
     return tuple(cells)
 
 
+def determinant(rows: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix (1 when empty), by
+    Bareiss fraction-free elimination with row pivoting: every intermediate
+    entry is a minor of the input, so each division is exact."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    sign = prev = 1
+    for col in range(n - 1):
+        pivot_row = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            sign = -sign
+        row_p = a[col]
+        pivot = row_p[col]
+        for row_r in a[col + 1:]:
+            arc = row_r[col]
+            for c in range(col + 1, n):
+                row_r[c] = (row_r[c] * pivot - arc * row_p[c]) // prev
+        prev = pivot
+    return sign * a[-1][-1] if a else 1
+
+
 def symbolic_determinant(
         graph: ColoredGraph,
         bipartition: Bipartition,
@@ -172,21 +196,36 @@ def symbolic_determinant(
     polynomial in the red-marker variable y.
 
     Rows are the left-side vertices in ascending id order, columns the
-    right side; the entry for edge e is 2^w_e * y^(1 if e is red). The
-    coefficient of y^j is the signed sum of 2^(total weight) over perfect
-    matchings with exactly j red edges.
+    right side; the entry for edge e is 2^w_e * y^(1 if e is red), and
+    parallel edges add up. The coefficient of y^j is the signed sum of
+    2^(total weight) over perfect matchings with exactly j red edges.
+
+    No coefficient exceeds, in absolute value, the permanent of B + R, and
+    so the product of its row sums, bound. Kronecker substitution at
+    y = 2^s, s = bound.bit_length() + 1, gives one integer det(B + 2^s R)
+    whose balanced base-2^s digits are the coefficients.
     """
     cells = _cells(graph, bipartition)
     if len(weights) != len(graph.edges):
         raise ValueError("need exactly one weight per edge")
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be non-negative")
     size = len(bipartition.left)
-    zero = Polynomial.zero()
-    matrix = [[zero] * size for _ in range(size)]
-    for (r, c, red), w in zip(cells, weights):
-        entry = Polynomial.monomial(2 ** w, 1 if red else 0)
-        # parallel edges share a matrix entry, so their monomials add up
-        matrix[r][c] = entry if matrix[r][c] is zero else matrix[r][c] + entry
-    return determinant(matrix)
+    blue = [[0] * size for _ in range(size)]
+    red = [[0] * size for _ in range(size)]
+    for (r, c, is_red), w in zip(cells, weights):
+        (red if is_red else blue)[r][c] += 1 << w
+    bound = math.prod(sum(b) + sum(q) for b, q in zip(blue, red))
+    shift = bound.bit_length() + 1
+    value = determinant([[b + (q << shift) for b, q in zip(blue_row, red_row)]
+                         for blue_row, red_row in zip(blue, red)])
+    half = 1 << (shift - 1)
+    coeffs = []
+    while value:
+        digit = (value + half) % (1 << shift) - half    # in [-half, half)
+        coeffs.append(digit)
+        value = (value - digit) >> shift
+    return Polynomial(coeffs)
 
 
 def _determinant_mod(matrix: list[list[int]]) -> int:

@@ -296,9 +296,10 @@ def _cross_check(cases, engines: dict, trials: int,
     Bipartite-only engines sit out non-bipartite instances, and detection
     counts their yes answers on instances an exact engine answered yes.
     Verdicts are compared pairwise within a problem family, keeping at most
-    one hard and one statistical Disagreement per instance. An instance on
-    which an engine raises BudgetExhausted is skipped and noted in
-    budget_notes, and none of its seconds are booked.
+    one hard and one statistical Disagreement per instance. An instance is
+    skipped, noted in budget_notes and none of its seconds booked when an
+    engine raises BudgetExhausted on it, or when the sit-outs leave no
+    problem family with two verdicts, since then nothing was compared.
     """
     disagreements: list[Disagreement] = []
     statistical: list[Disagreement] = []
@@ -324,6 +325,12 @@ def _cross_check(cases, engines: dict, trials: int,
         except BudgetExhausted as exc:
             skipped += 1
             notes.append(f"instance {iid}: skipped, {exc}\n{format_em_instance(instance)}")
+            continue
+        if len({family for _, family, _, _ in verdicts}) == len(verdicts):
+            # every family that ran has one verdict, so nothing was compared
+            skipped += 1
+            notes.append(f"instance {iid}: skipped, not bipartite, so no problem family "
+                         f"had two engines to compare\n{format_em_instance(instance)}")
             continue
         run += 1
         for name, _, _, elapsed in verdicts:
@@ -394,9 +401,11 @@ def randomized_campaign(
         ) -> CampaignReport:
     """Generate count instances from the template (seed advancing by one per
     instance) and cross-check the named engines pairwise within each problem
-    family. Bipartite-only engines sit out non-bipartite instances. Raises
-    ValueError for an unknown or repeated engine name, and when no problem
-    family has two of the named engines, since nothing would be compared.
+    family. Bipartite-only engines sit out non-bipartite instances, and an
+    instance on which that leaves nothing to compare counts as skipped,
+    not run. Raises ValueError for an unknown or repeated engine name, and
+    when no problem family has two of the named engines, since nothing
+    would be compared.
 
     The detection field reports, for each randomized engine, how many
     brute-force-confirmed yes instances it answered yes on, which is the

@@ -20,7 +20,7 @@ strict to be.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .graphs import BLUE, RED, ColoredGraph, EmInstance, Matching, TkpmInstance, WeightedGraph
 

@@ -1,14 +1,7 @@
-"""Exact univariate polynomials over Python's big integers, plus a
-fraction-free determinant for matrices of such polynomials.
+"""Exact univariate polynomials over Python's big integers: the value
+symbolic_determinant returns, with addition as its only arithmetic."""
 
-The determinant uses Bareiss elimination: every intermediate entry is a
-minor of the input matrix, so all divisions are exact in the polynomial
-ring and no rationals or floats ever appear.
-"""
-
-from __future__ import annotations
-
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class Polynomial:
@@ -35,22 +28,10 @@ class Polynomial:
         return _ZERO
 
     @classmethod
-    def one(cls) -> "Polynomial":
-        return _ONE
-
-    @classmethod
-    def constant(cls, c: int) -> "Polynomial":
-        return cls((c,))
-
-    @classmethod
     def monomial(cls, c: int, power: int) -> "Polynomial":
         if power < 0:
             raise ValueError("power must be non-negative")
         return cls((0,) * power + (c,))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     @property
     def degree(self) -> int:
@@ -59,18 +40,9 @@ class Polynomial:
     def coeff(self, power: int) -> int:
         return self.coeffs[power] if 0 <= power < len(self.coeffs) else 0
 
-    def evaluate(self, x: int) -> int:
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = Polynomial.constant(other)
+            other = Polynomial((other,))
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -78,11 +50,9 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
-
     def __add__(self, other) -> "Polynomial":
-        other = _coerce(other)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -91,120 +61,8 @@ class Polynomial:
             out[i] += c
         return Polynomial(out)
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Polynomial":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "Polynomial":
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other) -> "Polynomial":
-        other = _coerce(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def exact_div(self, divisor: "Polynomial") -> "Polynomial":
-        """Divide by a polynomial that is known to divide self exactly.
-
-        Raises ZeroDivisionError on a zero divisor and ValueError when the
-        division leaves a remainder.
-        """
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return _ZERO
-        dc = divisor.coeffs
-        if self.degree < divisor.degree:
-            raise ValueError("inexact polynomial division")
-        rem = list(self.coeffs)
-        lead = dc[-1]
-        qlen = len(rem) - len(dc) + 1
-        quotient = [0] * qlen
-        for i in range(qlen - 1, -1, -1):
-            c = rem[i + len(dc) - 1]
-            if c % lead:
-                raise ValueError("inexact polynomial division")
-            t = c // lead
-            if t:
-                quotient[i] = t
-                for j, d in enumerate(dc):
-                    rem[i + j] -= t * d
-        if any(rem):
-            raise ValueError("inexact polynomial division")
-        return Polynomial(quotient)
-
     def __repr__(self) -> str:
         return f"Polynomial({self.coeffs!r})"
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        terms = []
-        for power in range(self.degree, -1, -1):
-            c = self.coeffs[power]
-            if not c:
-                continue
-            if power == 0:
-                terms.append(f"{c}")
-            elif power == 1:
-                terms.append(f"{c}*y" if c != 1 else "y")
-            else:
-                terms.append(f"{c}*y^{power}" if c != 1 else f"y^{power}")
-        return " + ".join(terms).replace("+ -", "- ")
-
-
-def _coerce(value) -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, int):
-        return Polynomial((value,))
-    raise TypeError(f"cannot mix Polynomial with {type(value).__name__}")
-
 
 _ZERO = Polynomial(())
-_ONE = Polynomial((1,))
-
-
-def determinant(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Exact determinant of a square matrix of polynomials.
-
-    Fraction-free elimination with row pivoting; the determinant of the
-    empty matrix is 1.
-    """
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    if n == 0:
-        return _ONE
-    a = [[_coerce(entry) for entry in row] for row in rows]
-    sign = 1
-    prev = _ONE
-    for col in range(n - 1):
-        pivot_row = next((r for r in range(col, n) if not a[r][col].is_zero), None)
-        if pivot_row is None:
-            return _ZERO
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            sign = -sign
-        pivot = a[col][col]
-        for r in range(col + 1, n):
-            arc = a[r][col]
-            row_r = a[r]
-            row_p = a[col]
-            for c in range(col + 1, n):
-                row_r[c] = (row_r[c] * pivot - arc * row_p[c]).exact_div(prev)
-            row_r[col] = _ZERO
-        prev = pivot
-    result = a[n - 1][n - 1]
-    return -result if sign < 0 else result

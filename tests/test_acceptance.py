@@ -8,7 +8,6 @@ k) and the seeded random batches are shared across criteria by
 reconstruction, never by trusting intermediate state.
 """
 
-import itertools
 import time
 from dataclasses import replace
 

@@ -141,6 +141,9 @@ def test_symbolic_determinant_adds_parallel_edges():
     g = ColoredGraph(2, ((0, 1, RED), (0, 1, BLUE)))
     bp = find_bipartition(g)
     assert symbolic_determinant(g, bp, (1, 2)) == Polynomial([4, 2])
+    # a second blue edge on the pair adds into the same blue cell
+    g = ColoredGraph(2, ((0, 1, RED), (0, 1, BLUE), (0, 1, BLUE)))
+    assert symbolic_determinant(g, bp, (1, 2, 3)) == Polynomial([12, 2])
 
 
 def test_symbolic_determinant_no_pm_is_zero():
@@ -163,6 +166,13 @@ def test_symbolic_determinant_weight_count_checked():
         symbolic_determinant(K2_RED, bp, (1, 2))
 
 
+def test_symbolic_determinant_rejects_negative_weights():
+    # 2^-1 would put a float into the integer-exact reference
+    bp = find_bipartition(K2_RED)
+    with pytest.raises(ValueError, match="non-negative"):
+        symbolic_determinant(K2_RED, bp, (-1,))
+
+
 def test_symbolic_determinant_matches_enumeration():
     rng = random.Random(42)
     for seed in range(60):
@@ -175,6 +185,16 @@ def test_symbolic_determinant_matches_enumeration():
         weights = sample_isolation_weights(len(g.edges), rng)
         assert symbolic_determinant(g, bp, weights) == \
             enumeration_polynomial(g, bp, weights)
+    # A lone anti-diagonal matching: its one coefficient is -2^(3+5), exactly
+    # minus the product of the row sums that bounds every coefficient, the
+    # most negative value the digit decoding has to read back; a lone
+    # diagonal matching gives the most positive one.
+    for edges, sign in ((((0, 3, RED), (1, 2, BLUE)), -1), (((0, 2, RED), (1, 3, BLUE)), 1)):
+        g = ColoredGraph(4, edges)
+        bp = find_bipartition(g)
+        assert (bp.left, bp.right) == ((0, 1), (2, 3))
+        assert symbolic_determinant(g, bp, (3, 5)) == \
+            enumeration_polynomial(g, bp, (3, 5)) == Polynomial([0, sign * 2 ** 8])
 
 
 def test_symbolic_determinant_degree_bounds():
