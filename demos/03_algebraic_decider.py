@@ -50,9 +50,9 @@ flat = symbolic_determinant(all_blue, find_bipartition(all_blue), (1, 1, 1, 1))
 print("all-blue C4 with flat weights, determinant:", flat.coeffs or (0,))
 
 # The full decider: yes answers are certified, no answers carry an error
-# bound of 2^-trials. Each trial evaluates det(B + yR) over GF(p) at
-# y = 0..min(n/2, red edges) and interpolates; the transcript shows each
-# trial's field values and outcome.
+# bound of 2^-trials. Each trial gets every coefficient of det(B + yR)
+# over GF(p) from one elimination and one characteristic polynomial; the
+# transcript shows each trial's field values and outcome.
 decision = algebraic_em_decide(EmInstance(c4, 1), trials=8, seed=4)
 print("decide k=1:", decision.answer, "after", decision.trials_run, "trial(s)")
 decision = algebraic_em_decide(EmInstance(c4, 2), trials=8, seed=4)

@@ -7,9 +7,11 @@ cell of edge e (Lovasz 1979). det(B + yR) is a signed sum over perfect
 matchings, grouped by red count: its y^k coefficient, as a polynomial in
 the x_e, has one distinct multilinear monomial per perfect matching with
 k red edges, so it is nonzero exactly when such a matching exists. Each
-trial evaluates the determinant by modular elimination at y = 0..d, where
-d bounds its degree in y, and recovers the coefficients by Newton
-interpolation. A nonzero y^k coefficient certifies a matching with k red
+trial gets all coefficients at once: for a shift c that makes A = B + cR
+nonsingular, one elimination of [A | R] gives det(A) and M = A^-1 R, and
+det(A + zR) = det(A) det(I + zM) is read off the characteristic
+polynomial of M, which a Hessenberg reduction yields in O(n^3); z = y - c
+shifts it back. A nonzero y^k coefficient certifies a matching with k red
 edges, so a "yes" is always sound. By the Schwartz-Zippel lemma a trial
 misses a yes-instance with probability at most (n/2)/p; "no" answers
 report the conservative one-sided error bound 2^-trials.
@@ -228,67 +230,132 @@ def symbolic_determinant(
     return Polynomial(coeffs)
 
 
-def _determinant_mod(matrix: list[list[int]]) -> int:
-    """Determinant over GF(PRIME) by Gaussian elimination that drops the
-    pivot row and column after each step; consumes matrix."""
+def _solve(a: list[list[int]], rhs: list[list[int]]) -> tuple[int, Optional[list[list[int]]]]:
+    """det(A) and A^-1 rhs over GF(PRIME), or (0, None) when A is singular,
+    by one elimination of [A | rhs]: forward, dropping each pivot column
+    once it is cleared, then back substitution."""
     p = PRIME
+    rows = [row + extra for row, extra in zip(a, rhs)]
     det = 1
-    while matrix:
-        for i, pivot_row in enumerate(matrix):
+    upper = []      # pivot rows, scaled to a unit pivot, past the pivot column
+    while rows:
+        for i, pivot_row in enumerate(rows):
             if pivot_row[0]:
                 break
         else:
-            return 0
-        del matrix[i]
+            return 0, None
+        del rows[i]
         if i % 2:
             det = -det      # row i moved to the top, past i rows
         pivot = pivot_row[0]
         det = det * pivot % p
         inverse = pow(pivot, -1, p)
-        tail = pivot_row[1:]
-        reduced = []
-        for row in matrix:
-            factor = -row.pop(0) * inverse % p
-            reduced.append([(a + factor * b) % p for a, b in zip(row, tail)] if factor else row)
-        matrix = reduced
-    return det
+        tail = [x * inverse % p for x in pivot_row[1:]]
+        upper.append(tail)
+        rows = [[(x - row[0] * t) % p for x, t in zip(row[1:], tail)] if row[0] else row[1:]
+                for row in rows]
+    solved: list[list[int]] = []    # rows of A^-1 rhs, the last one first
+    for i, tail in enumerate(reversed(upper)):
+        row = tail[i:]
+        for factor, later in zip(tail[:i], reversed(solved)):
+            if factor:
+                row = [x - factor * y for x, y in zip(row, later)]
+        solved.append([x % p for x in row])
+    return det % p, solved[::-1]
 
 
-def _interpolate(points: list[int]) -> list[int]:
-    """Coefficients, lowest power first, of the polynomial of degree below
-    len(points) that takes the value points[y] at y = 0, 1, ... over
-    GF(PRIME), by Newton's divided differences."""
-    top = len(points) - 1
-    diffs = list(points)
-    for j in range(1, top + 1):
-        inverse = pow(j, -1, PRIME)
-        for i in range(top, j - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) * inverse % PRIME
-    # Horner on the Newton form diffs[0] + y (diffs[1] + (y - 1) (diffs[2] + ...))
-    coeffs: list[int] = []
-    for i in range(top, -1, -1):
-        shifted = [0] + coeffs
-        for t, c in enumerate(coeffs):
-            shifted[t] -= i * c
-        shifted[0] += diffs[i]
-        coeffs = [c % PRIME for c in shifted]
-    return coeffs
+def _charpoly(h: list[list[int]]) -> list[int]:
+    """Coefficients, lowest power first, of det(tI - H) over GF(PRIME):
+    H is reduced to upper Hessenberg form by similarity, whose leading
+    blocks' characteristic polynomials follow from a recurrence (Cohen
+    1993, Algorithm 2.2.9); consumes h."""
+    p = PRIME
+    n = len(h)
+    for m in range(1, n - 1):
+        for i in range(m, n):
+            if h[i][m - 1]:
+                break
+        else:
+            continue
+        if i != m:
+            h[i], h[m] = h[m], h[i]
+            for row in h:
+                row[i], row[m] = row[m], row[i]
+        pivot_row = h[m]
+        inverse = pow(pivot_row[m - 1], -1, p)
+        factors = [h[r][m - 1] * inverse % p for r in range(m + 1, n)]
+        # clear column m - 1 below the subdiagonal by row operations, then
+        # apply their inverses to the columns, which all add into column m
+        for r, factor in enumerate(factors, m + 1):
+            if factor:
+                h[r] = [(x - factor * y) % p for x, y in zip(h[r], pivot_row)]
+        for row in h:
+            row[m] = (row[m] + sum(f * x for f, x in zip(factors, row[m + 1:]))) % p
+    # polys[m] is the characteristic polynomial of the leading m x m block
+    polys = [[1]]
+    for m in range(n):
+        diagonal = h[m][m]
+        poly = [0] + polys[m]
+        for j, c in enumerate(polys[m]):
+            poly[j] -= diagonal * c
+        product = 1
+        for i in range(m - 1, -1, -1):
+            product = product * h[i + 1][i] % p
+            if not product:
+                break
+            factor = h[i][m] * product % p
+            for j, c in enumerate(polys[i]):
+                poly[j] -= factor * c
+        polys.append([c % p for c in poly])
+    return polys[n]
 
 
 def _field_coefficients(cells: tuple[tuple[int, int, bool], ...], values: WeightAssignment,
                         size: int, degree: int) -> list[int]:
     """Coefficients of det(B + yR) over GF(PRIME) up to y^degree, where
     the value of each blue edge adds into its cell of B and of each red
-    edge into its cell of R; degree must bound the determinant's degree."""
+    edge into its cell of R; degree must bound the determinant's degree.
+
+    For the first shift c in 1..degree + 1 with A = B + cR nonsingular,
+    det(A + zR) = det(A) det(I + zM) with M = A^-1 R, and the z^j
+    coefficient of det(I + zM) is (-1)^j times the t^(r - j) coefficient
+    of det(tI - M), M being r x r; z = y - c then shifts it back. If every
+    shift fails, the polynomial vanishes at degree + 1 points and is zero.
+    c = 1 comes first: B + R, the whole graph, is nonsingular for almost
+    every draw when the graph has a perfect matching, while B alone is
+    singular whenever the blue edges have none.
+
+    A column where R is zero is zero in M too, and deleting it with its
+    row leaves det(I + zM) unchanged, so M keeps only the rows and columns
+    at R's nonzero columns; as det(X) = det(X^T), the matrices are
+    transposed first when R has fewer nonzero rows than columns.
+    """
+    p = PRIME
     blue = [[0] * size for _ in range(size)]
     red = [[0] * size for _ in range(size)]
     for (r, c, is_red), x in zip(cells, values):
         matrix = red if is_red else blue
-        matrix[r][c] = (matrix[r][c] + x) % PRIME
-    return _interpolate([
-        _determinant_mod([[(b + y * q) % PRIME for b, q in zip(blue_row, red_row)]
-                          for blue_row, red_row in zip(blue, red)])
-        for y in range(degree + 1)])
+        matrix[r][c] = (matrix[r][c] + x) % p
+    if sum(map(any, red)) < sum(map(any, zip(*red))):
+        blue = [list(col) for col in zip(*blue)]
+        red = [list(col) for col in zip(*red)]
+    kept = [j for j, col in enumerate(zip(*red)) if any(col)]
+    kept_red = [[row[j] for j in kept] for row in red]
+    for shift in range(1, degree + 2):
+        det, solved = _solve([[(b + shift * q) % p for b, q in zip(blue_row, red_row)]
+                              for blue_row, red_row in zip(blue, red)], kept_red)
+        if det:
+            break
+    else:
+        return [0] * (degree + 1)
+    charpoly = _charpoly([solved[j] for j in kept])
+    coeffs = [det * (-c if j % 2 else c) % p for j, c in enumerate(reversed(charpoly))]
+    # Taylor shift: coefficients in y of the polynomial in z = y - shift
+    top = len(kept)
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            coeffs[j] = (coeffs[j] - shift * coeffs[j + 1]) % p
+    return (coeffs + [0] * degree)[:degree + 1]
 
 
 def algebraic_em_decide(

@@ -92,7 +92,9 @@ class CampaignReport:
 
     @property
     def ok(self) -> bool:
-        return not self.disagreements
+        """True when some instance was compared and none disagreed; a
+        report that compared nothing has shown nothing."""
+        return self.instances_run > 0 and not self.disagreements
 
 
 def report_to_json(report: CampaignReport) -> str:

@@ -6,6 +6,8 @@ computed from permutation inversions, independently of the elimination
 code under test.
 """
 
+import hashlib
+import itertools
 import math
 import random
 from collections import Counter
@@ -365,24 +367,122 @@ def test_field_support_matches_enumeration_and_symbolic_determinant(family):
     assert empty.answer is True and empty.trials_run == 1
 
 
-@pytest.mark.parametrize("s", [1, 8, 15])
-def test_algebraic_decide_red_set_graph_n32(s):
-    # Red edges are exactly those at a set S of left vertices; a perfect
-    # matching covers every left vertex once, so each has |S| red edges.
-    rng = random.Random(s)
-    n, h = 32, 16
+def red_set_graph(n, s, seed):
+    """A bipartite graph with a planted perfect matching and about 3.5n
+    edges, red exactly at a set S of s left vertices; a perfect matching
+    covers every left vertex once, so each has s red edges."""
+    rng = random.Random(seed)
+    h = n // 2
     right = list(range(h, n))
     rng.shuffle(right)
     pairs = {(i, right[i]) for i in range(h)}
     while len(pairs) < round(3.5 * n):
         pairs.add((rng.randrange(h), rng.randrange(h, n)))
     red_left = set(rng.sample(range(h), s))
-    graph = ColoredGraph(n, tuple((u, v, RED if u in red_left else BLUE)
-                                  for u, v in sorted(pairs)))
+    return ColoredGraph(n, tuple((u, v, RED if u in red_left else BLUE)
+                                 for u, v in sorted(pairs)))
+
+
+@pytest.mark.parametrize("s", [1, 8, 15])
+def test_algebraic_decide_red_set_graph_n32(s):
+    graph = red_set_graph(32, s, s)
     assert algebraic_em_decide(EmInstance(graph, s), trials=3, seed=s).answer
     for k in (s - 1, s + 1):
         decision = algebraic_em_decide(EmInstance(graph, k), trials=3, seed=s)
         assert not decision.answer and decision.trials_run == 3
+
+
+def permutation_coefficients(cells, values, size):
+    """det(B + yR) over GF(PRIME) from its definition: over permutations,
+    the sign times the product of the chosen cells' blue + y * red sums."""
+    blue = [[0] * size for _ in range(size)]
+    red = [[0] * size for _ in range(size)]
+    for (r, c, is_red), x in zip(cells, values):
+        (red if is_red else blue)[r][c] += x
+    coeffs = [0] * (size + 1)
+    for perm in itertools.permutations(range(size)):
+        poly = [perm_sign(perm)]
+        for r, c in enumerate(perm):
+            if not (blue[r][c] or red[r][c]):
+                break
+            poly = [blue[r][c] * low + red[r][c] * high
+                    for low, high in zip(poly + [0], [0] + poly)]
+        else:
+            for j, c in enumerate(poly):
+                coeffs[j] += c
+    return [c % algebraic.PRIME for c in coeffs]
+
+
+def test_field_coefficients_match_permutation_expansion():
+    # Each input takes one of the kernel's paths: B + R nonsingular, so the
+    # first shift serves; B + R singular on a nonzero polynomial, so a later
+    # shift does; the zero polynomial, where every shift fails; and side 0.
+    p = algebraic.PRIME
+    rng = random.Random(2026)
+    paths = Counter()
+    for _ in range(500):
+        size = rng.randint(0, 6)
+        cells = tuple((r, c, rng.random() < 0.5)
+                      for r in range(size) for c in range(size)
+                      for _ in range(rng.choice((0, 0, 1, 1, 2))))
+        values = tuple(rng.choice((0, 1, 2, p - 1, rng.randrange(p))) for _ in cells)
+        degree = min(size, sum(is_red for _, _, is_red in cells))
+        expected = permutation_coefficients(cells, values, size)
+        assert expected[degree + 1:] == [0] * (size - degree)
+        got = algebraic._field_coefficients(cells, values, size, degree)
+        assert got == expected[:degree + 1], (cells, values)
+        if size == 0:
+            paths["side 0"] += 1
+        elif not any(expected):
+            paths["zero polynomial"] += 1
+        elif sum(expected) % p == 0:
+            paths["later shift"] += 1
+        else:
+            paths["first shift"] += 1
+    assert set(paths) == {"side 0", "zero polynomial", "later shift", "first shift"}, paths
+
+
+def planted_yes_instance():
+    """A 16-vertex bipartite graph whose k is the red count of one of its
+    perfect matchings."""
+    graph = gen_instance(GenSpec(n=16, extra_edges=24, seed=12, bipartite=True)).graph
+    first = next(enumerate_perfect_matchings(graph))
+    return EmInstance(graph, sum(graph.edges[e][2] == RED for e in first))
+
+
+# sha256 of repr([(trials_run, transcript), ...]) over every decision of the
+# run, and the number of coefficient vectors computed, recorded with a kernel
+# that evaluated det(B + yR) at y = 0..d and interpolated: an independent
+# route to the same vectors
+PINNED_RUNS = {
+    "planted-yes": ("63e54e82b314f51c2189427cee9b0fd2"
+                    "a8e57bbf2284b768828e11d385a74b73", 1),
+    "red-set-no": ("a3ead9f450a2341a73562510e5cae822"
+                   "3b7fdaa21f314714aebc7bce01b4b9a1", 40),
+    "cpm-via-em": ("1c6cda96bee51e76fd9f4e515b146814"
+                   "049d424007c92a5c78cb776d6c656286", 40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_decider_transcripts_pinned(monkeypatch, name):
+    # Changing how a trial computes its coefficient vector must change no
+    # draw, no hit and no memo lookup.
+    decisions = []
+
+    def decide(inst):
+        decisions.append(algebraic_em_decide(inst, seed=2024))
+        return decisions[-1]
+
+    calls = count_field_coefficients(monkeypatch)
+    if name == "planted-yes":
+        assert decide(planted_yes_instance()).answer
+    elif name == "red-set-no":
+        assert not decide(EmInstance(red_set_graph(16, 4, 7), 5))
+    else:
+        assert not cpm_via_em(EmInstance(red_set_graph(16, 3, 8), 0), decide)
+    text = repr([(d.trials_run, d.transcript) for d in decisions])
+    assert (hashlib.sha256(text.encode()).hexdigest(), len(calls)) == PINNED_RUNS[name]
 
 
 def test_cpm_via_em_examples():

@@ -270,7 +270,7 @@ def test_exhaustive_sweep_budget_skips_are_recorded():
     for note in report.budget_notes:
         assert "skipped" in note
         assert "p em 2 1" in note   # the embedded instance text
-    assert report.ok
+    assert not report.disagreements and not report.ok   # nothing was compared
 
 
 def test_exhaustive_sweep_roomy_budget_completes():
@@ -363,7 +363,7 @@ def test_merge_reports_shifts_instance_ids():
 
 def test_randomized_campaign_zero_instances():
     report = randomized_campaign(0, GenSpec(n=4))
-    assert report.instances_run == 0 and report.ok
+    assert report.instances_run == 0 and not report.ok
     assert report.statistical_events == ()
 
 
@@ -407,6 +407,7 @@ def test_randomized_campaign_skips_algebraic_on_non_bipartite():
     assert report.skipped > 0
     assert len(report.budget_notes) == report.skipped
     assert not report.disagreements
+    assert report.ok == (report.instances_run > 0)
 
 
 def test_randomized_campaign_cpm_family():
