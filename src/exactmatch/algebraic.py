@@ -7,14 +7,23 @@ cell of edge e (Lovasz 1979). det(B + yR) is a signed sum over perfect
 matchings, grouped by red count: its y^k coefficient, as a polynomial in
 the x_e, has one distinct multilinear monomial per perfect matching with
 k red edges, so it is nonzero exactly when such a matching exists. Each
-trial gets all coefficients at once: for a shift c that makes A = B + cR
-nonsingular, one elimination of [A | R] gives det(A) and M = A^-1 R, and
-det(A + zR) = det(A) det(I + zM) is read off the characteristic
-polynomial of M, which a Hessenberg reduction yields in O(n^3); z = y - c
-shifts it back. A nonzero y^k coefficient certifies a matching with k red
-edges, so a "yes" is always sound. By the Schwartz-Zippel lemma a trial
-misses a yes-instance with probability at most (n/2)/p; "no" answers
-report the conservative one-sided error bound 2^-trials.
+trial gets all coefficients at once. y appears only in the r kept
+columns, those that hold a red cell; one forward elimination of the
+other, free columns leaves the kept columns' Schur complement, an r x r
+pencil S_B + yS_R, with det(B + yR) a constant times det(S_B + yS_R).
+For a shift c that makes A = S_B + cS_R nonsingular, one elimination of
+[A | S_R] gives det(A) and M = A^-1 S_R, and det(A + zS_R) =
+det(A) det(I + zM) is read off the characteristic polynomial of M, which
+a Hessenberg reduction yields in O(r^3); z = y - c shifts it back. Which
+columns are free or kept, whether to read the matrices transposed, and
+where each edge's value goes depend on the graph alone, so a decision
+works them out once for all its trials; each trial then draws its values
+at getrandbits speed, exactly as rng.randrange(p) would.
+
+A nonzero y^k coefficient certifies a matching with k red edges, so a
+"yes" is always sound. By the Schwartz-Zippel lemma a trial misses a
+yes-instance with probability at most (n/2)/p; "no" answers report the
+conservative one-sided error bound 2^-trials.
 
 Cancellation is real: an unlucky draw can zero the coefficient of a
 nonzero polynomial, so a zero value never proves the absence of a
@@ -40,14 +49,15 @@ from collections import deque
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .engines import brute_em
-from .graphs import RED, ColoredGraph, EmInstance, Matching
+from .graphs import ColoredGraph, EmInstance, Matching
 from .polynomials import Polynomial
 
 DEFAULT_TRIALS = 40
 PRIME = (1 << 30) - 35      # below 2^30, so every residue is one CPython digit
+_BITS = PRIME.bit_length()
 
 WeightAssignment = tuple[int, ...]
 
@@ -157,11 +167,11 @@ def _cells(graph: ColoredGraph, bipartition: Bipartition) -> tuple[tuple[int, in
     col = {v: j for j, v in enumerate(right)}
     sides = bipartition.sides
     cells = []
-    for eid, (u, v, color) in enumerate(graph.edges):
+    for eid, ((u, v, _), red) in enumerate(zip(graph.edges, graph.edge_classes)):
         if sides[u] == sides[v]:
             raise ValueError(f"bipartition does not separate edge {eid}")
         lu, rv = (u, v) if sides[u] == 0 else (v, u)
-        cells.append((row[lu], col[rv], color == RED))
+        cells.append((row[lu], col[rv], bool(red)))
     return tuple(cells)
 
 
@@ -230,20 +240,24 @@ def symbolic_determinant(
     return Polynomial(coeffs)
 
 
-def _solve(a: list[list[int]], rhs: list[list[int]]) -> tuple[int, Optional[list[list[int]]]]:
-    """det(A) and A^-1 rhs over GF(PRIME), or (0, None) when A is singular,
-    by one elimination of [A | rhs]: forward, dropping each pivot column
-    once it is cleared, then back substitution."""
+def _eliminate(rows: list[list[int]], count: int) -> tuple[int, list[list[int]], list[list[int]]]:
+    """Forward elimination over GF(PRIME) of the first count columns of
+    rows, with row pivoting; consumes rows.
+
+    Returns the signed product of the pivots, 0 when those columns are
+    singular; the pivot rows, scaled to a unit pivot and cut past their
+    pivot column; and the other rows cut past the count columns, which is
+    their Schur complement.
+    """
     p = PRIME
-    rows = [row + extra for row, extra in zip(a, rhs)]
     det = 1
-    upper = []      # pivot rows, scaled to a unit pivot, past the pivot column
-    while rows:
+    upper = []
+    for _ in range(count):
         for i, pivot_row in enumerate(rows):
             if pivot_row[0]:
                 break
         else:
-            return 0, None
+            return 0, upper, rows
         del rows[i]
         if i % 2:
             det = -det      # row i moved to the top, past i rows
@@ -254,6 +268,16 @@ def _solve(a: list[list[int]], rhs: list[list[int]]) -> tuple[int, Optional[list
         upper.append(tail)
         rows = [[(x - row[0] * t) % p for x, t in zip(row[1:], tail)] if row[0] else row[1:]
                 for row in rows]
+    return det % p, upper, rows
+
+
+def _solve(a: list[list[int]], rhs: list[list[int]]) -> tuple[int, Optional[list[list[int]]]]:
+    """det(A) and A^-1 rhs over GF(PRIME), or (0, None) when A is singular,
+    by one elimination of [A | rhs]: forward, then back substitution."""
+    p = PRIME
+    det, upper, _ = _eliminate([row + extra for row, extra in zip(a, rhs)], len(a))
+    if not det:
+        return 0, None
     solved: list[list[int]] = []    # rows of A^-1 rhs, the last one first
     for i, tail in enumerate(reversed(upper)):
         row = tail[i:]
@@ -261,7 +285,7 @@ def _solve(a: list[list[int]], rhs: list[list[int]]) -> tuple[int, Optional[list
             if factor:
                 row = [x - factor * y for x, y in zip(row, later)]
         solved.append([x % p for x in row])
-    return det % p, solved[::-1]
+    return det, solved[::-1]
 
 
 def _charpoly(h: list[list[int]]) -> list[int]:
@@ -310,52 +334,106 @@ def _charpoly(h: list[list[int]]) -> list[int]:
     return polys[n]
 
 
+class _Layout(NamedTuple):
+    """Where each cell's value goes in the rows [B free | B kept | R kept]
+    of a trial: the graph-only part of det(B + yR), the same in every
+    trial of a decision.
+
+    A kept column holds a red cell and a free column none, so y never
+    reaches a free column. As det(X) = det(X^T), the matrices are read
+    transposed when fewer rows than columns hold a red cell, which keeps
+    fewer columns. Moving the free columns, in order, ahead of the kept
+    ones multiplies the determinant by sign, (-1) to the number of pairs
+    of a free column after a kept one.
+    """
+
+    slots: tuple[tuple[int, int], ...]      # (row, position in the row) per cell
+    free: int
+    kept: int
+    sign: int
+
+    @classmethod
+    def of(cls, cells: tuple[tuple[int, int, bool], ...], size: int) -> _Layout:
+        red_rows = {r for r, _, is_red in cells if is_red}
+        red_cols = {c for _, c, is_red in cells if is_red}
+        if len(red_rows) < len(red_cols):
+            cells = [(c, r, is_red) for r, c, is_red in cells]
+            red_cols = red_rows
+        kept = sorted(red_cols)
+        free = [j for j in range(size) if j not in red_cols]
+        position = {j: i for i, j in enumerate(free + kept)}
+        inversions = sum(f > j for f in free for j in kept)
+        r = len(kept)
+        return cls(slots=tuple([(row, position[c] + r if is_red else position[c])
+                                for row, c, is_red in cells]),
+                   free=len(free), kept=r, sign=-1 if inversions % 2 else 1)
+
+
 def _field_coefficients(cells: tuple[tuple[int, int, bool], ...], values: WeightAssignment,
-                        size: int, degree: int) -> list[int]:
+                        size: int, degree: int, layout: Optional[_Layout] = None) -> list[int]:
     """Coefficients of det(B + yR) over GF(PRIME) up to y^degree, where
     the value of each blue edge adds into its cell of B and of each red
     edge into its cell of R; degree must bound the determinant's degree.
+    layout, when given, must be _Layout.of(cells, size), which the decider
+    builds once per decision.
 
-    For the first shift c in 1..degree + 1 with A = B + cR nonsingular,
-    det(A + zR) = det(A) det(I + zM) with M = A^-1 R, and the z^j
-    coefficient of det(I + zM) is (-1)^j times the t^(r - j) coefficient
-    of det(tI - M), M being r x r; z = y - c then shifts it back. If every
-    shift fails, the polynomial vanishes at degree + 1 points and is zero.
-    c = 1 comes first: B + R, the whole graph, is nonsingular for almost
-    every draw when the graph has a perfect matching, while B alone is
-    singular whenever the blue edges have none.
-
-    A column where R is zero is zero in M too, and deleting it with its
-    row leaves det(I + zM) unchanged, so M keeps only the rows and columns
-    at R's nonzero columns; as det(X) = det(X^T), the matrices are
-    transposed first when R has fewer nonzero rows than columns.
+    Forward elimination of the free columns, where y never appears, with
+    row operations that do not depend on y, leaves the r kept columns'
+    Schur complement, an r x r pencil S_B + yS_R: det(B + yR) is the
+    layout's sign times the free pivots' product times det(S_B + yS_R),
+    and zero when the free columns are singular. For the first shift c in
+    1..r + 1 with A = S_B + cS_R nonsingular, det(A + zS_R) =
+    det(A) det(I + zM) with M = A^-1 S_R, and the z^j coefficient of
+    det(I + zM) is (-1)^j times the t^(r - j) coefficient of det(tI - M);
+    z = y - c then shifts it back. If every shift fails, the pencil's
+    determinant, of degree at most r, vanishes at r + 1 points and is zero.
+    c = 1 comes first: S_B + S_R is nonsingular exactly when B + R, the
+    whole graph, is, which holds for almost every draw when the graph has
+    a perfect matching, while B alone is singular whenever the blue edges
+    have none.
     """
     p = PRIME
-    blue = [[0] * size for _ in range(size)]
-    red = [[0] * size for _ in range(size)]
-    for (r, c, is_red), x in zip(cells, values):
-        matrix = red if is_red else blue
-        matrix[r][c] = (matrix[r][c] + x) % p
-    if sum(map(any, red)) < sum(map(any, zip(*red))):
-        blue = [list(col) for col in zip(*blue)]
-        red = [list(col) for col in zip(*red)]
-    kept = [j for j, col in enumerate(zip(*red)) if any(col)]
-    kept_red = [[row[j] for j in kept] for row in red]
-    for shift in range(1, degree + 2):
-        det, solved = _solve([[(b + shift * q) % p for b, q in zip(blue_row, red_row)]
-                              for blue_row, red_row in zip(blue, red)], kept_red)
+    zero = [0] * (degree + 1)
+    if layout is None:
+        layout = _Layout.of(cells, size)
+    kept = layout.kept
+    rows = [[0] * (size + kept) for _ in range(size)]
+    for (r, slot), x in zip(layout.slots, values):
+        row = rows[r]
+        row[slot] = (row[slot] + x) % p
+    scale, _, schur = _eliminate(rows, layout.free)
+    if not scale:
+        return zero
+    pencil_red = [row[kept:] for row in schur]
+    for shift in range(1, kept + 2):
+        det, solved = _solve([[(b + shift * q) % p for b, q in zip(row[:kept], red)]
+                              for row, red in zip(schur, pencil_red)], pencil_red)
         if det:
             break
     else:
-        return [0] * (degree + 1)
-    charpoly = _charpoly([solved[j] for j in kept])
-    coeffs = [det * (-c if j % 2 else c) % p for j, c in enumerate(reversed(charpoly))]
+        return zero
+    det = det * scale * layout.sign
+    coeffs = [det * (-c if j % 2 else c) % p for j, c in enumerate(reversed(_charpoly(solved)))]
     # Taylor shift: coefficients in y of the polynomial in z = y - shift
-    top = len(kept)
-    for i in range(top):
-        for j in range(top - 1, i - 1, -1):
+    for i in range(kept):
+        for j in range(kept - 1, i - 1, -1):
             coeffs[j] = (coeffs[j] - shift * coeffs[j + 1]) % p
-    return (coeffs + [0] * degree)[:degree + 1]
+    return (coeffs + zero)[:degree + 1]
+
+
+def _draw(rng: random.Random, m: int) -> WeightAssignment:
+    """m values, each drawn exactly as rng.randrange(PRIME) draws it and
+    in the same order: PRIME.bit_length() random bits, drawn again while
+    they reach PRIME. It leaves rng in the same state as those m calls,
+    without their per-call cost."""
+    getrandbits = rng.getrandbits
+    values = []
+    for _ in range(m):
+        x = getrandbits(_BITS)
+        while x >= PRIME:
+            x = getrandbits(_BITS)
+        values.append(x)
+    return tuple(values)
 
 
 def algebraic_em_decide(
@@ -387,6 +465,7 @@ def algebraic_em_decide(
         # no perfect matching has fewer than 0 red edges, or more than n/2
         # or than the graph has
         return exact_no
+    layout = _Layout.of(cells, size)
     # outside a parity decision, the vectors are shared with no one
     shared = _shared_vectors.get()
     if shared is None:
@@ -394,11 +473,11 @@ def algebraic_em_decide(
     rng = random.Random(seed)
     transcript: list[tuple[WeightAssignment, bool]] = []
     for trial in range(trials):
-        values = tuple(rng.randrange(PRIME) for _ in cells)
+        values = _draw(rng, len(cells))
         key = (cells, values, size, degree)
         coeffs = shared.get(key)
         if coeffs is None:
-            coeffs = shared[key] = _field_coefficients(*key)
+            coeffs = shared[key] = _field_coefficients(*key, layout)
         hit = coeffs[k] != 0
         transcript.append((values, hit))
         if hit:

@@ -42,7 +42,7 @@ class ColoredGraph:
 
     @cached_property
     def red_edge_ids(self) -> frozenset[int]:
-        return frozenset(i for i, e in enumerate(self.edges) if e[2] == RED)
+        return frozenset(i for i, c in enumerate(self.edge_classes) if c)
 
     @property
     def num_red(self) -> int:
@@ -53,7 +53,17 @@ class ColoredGraph:
 
     @cached_property
     def edge_classes(self) -> tuple[int, ...]:
-        return tuple(1 if c == RED else 0 for c in self.colors)
+        """The one reading of the colors: RED is 1, BLUE is 0, and any
+        other color raises ValueError naming its edge."""
+        classes = []
+        for i, c in enumerate(self.colors):
+            if c == RED:
+                classes.append(1)
+            elif c == BLUE:
+                classes.append(0)
+            else:
+                raise ValueError(f"unknown color {c!r} at edge {i}")
+        return tuple(classes)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -210,8 +220,8 @@ def is_perfect_matching(graph: Graph, matching: Iterable[int]) -> bool:
 def red_count(graph: ColoredGraph, matching: Iterable[int]) -> int:
     """Number of red edges in a matching of a colored graph."""
     m = _check_edge_ids(graph, matching)
-    colors = graph.colors
-    return sum(1 for eid in set(m) if colors[eid] == RED)
+    classes = graph.edge_classes
+    return sum(classes[eid] for eid in set(m))
 
 
 def top_k_weight(weights, edge_ids: Iterable[int], k: int) -> int:

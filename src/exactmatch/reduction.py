@@ -33,7 +33,6 @@ from .engines import EnumerationBudget, tkpm_reaches
 # reduction.brute_tkpm
 from .engines import brute_tkpm  # noqa: F401
 from .graphs import (
-    RED,
     EmInstance,
     Matching,
     TkpmInstance,
@@ -82,9 +81,9 @@ def gadgetize(instance: EmInstance) -> tuple[TkpmInstance, GadgetMap]:
     edges: list[tuple[int, int, int]] = []
     path_edges = []
     path_vertices = []
-    for i, (u, v, color) in enumerate(graph.edges):
+    for i, ((u, v, _), red) in enumerate(zip(graph.edges, graph.edge_classes)):
         a = n + 4 * i
-        w = _RED_PATH_WEIGHTS if color == RED else _BLUE_PATH_WEIGHTS
+        w = _RED_PATH_WEIGHTS if red else _BLUE_PATH_WEIGHTS
         base = 5 * i
         edges.append((u, a, w[0]))
         edges.append((a, a + 1, w[1]))

@@ -413,10 +413,53 @@ def permutation_coefficients(cells, values, size):
     return [c % algebraic.PRIME for c in coeffs]
 
 
+def has_full_column_rank(columns, size):
+    """Whether the columns, each a list of size values, are independent
+    over GF(PRIME): some choice of as many rows gives a nonzero minor,
+    expanded over permutations."""
+    width = len(columns)
+    for rows in itertools.combinations(range(size), width):
+        minor = sum(perm_sign(perm) * math.prod(columns[j][rows[i]] for j, i in enumerate(perm))
+                    for perm in itertools.permutations(range(width)))
+        if minor % algebraic.PRIME:
+            return True
+    return False
+
+
+def layout_paths(cells, values, size):
+    """The layout paths an input takes, read from the cells alone: the
+    kept columns hold a red cell, after transposing when fewer rows than
+    columns do, and the free columns of B are the rest."""
+    red_rows = {r for r, _, is_red in cells if is_red}
+    red_cols = {c for _, c, is_red in cells if is_red}
+    transposed = len(red_rows) < len(red_cols)
+    kept = red_rows if transposed else red_cols
+    blue = [[0] * size for _ in range(size)]
+    for (r, c, is_red), x in zip(cells, values):
+        if not is_red:
+            blue[c][r] += x         # blue[j] is column j of B
+    if transposed:
+        blue = [list(row) for row in zip(*blue)]
+    free = [blue[j] for j in range(size) if j not in kept]
+    paths = set()
+    if size and len(kept) == size:
+        paths.add("no free column")
+    if size and not kept:
+        paths.add("no kept column")
+    if free and not has_full_column_rank(free, size):
+        paths.add("free columns singular")
+    if transposed:
+        paths.add("transposed")
+    return paths
+
+
 def test_field_coefficients_match_permutation_expansion():
     # Each input takes one of the kernel's paths: B + R nonsingular, so the
     # first shift serves; B + R singular on a nonzero polynomial, so a later
     # shift does; the zero polynomial, where every shift fails; and side 0.
+    # The layout adds paths of its own: every column kept, none kept, free
+    # columns that are singular, so the zero vector comes before any shift,
+    # and matrices read transposed.
     p = algebraic.PRIME
     rng = random.Random(2026)
     paths = Counter()
@@ -439,7 +482,44 @@ def test_field_coefficients_match_permutation_expansion():
             paths["later shift"] += 1
         else:
             paths["first shift"] += 1
-    assert set(paths) == {"side 0", "zero polynomial", "later shift", "first shift"}, paths
+        paths.update(layout_paths(cells, values, size))
+    assert set(paths) == {"side 0", "zero polynomial", "later shift", "first shift",
+                          "no free column", "no kept column", "free columns singular",
+                          "transposed"}, paths
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_draw_matches_randrange(seed):
+    for m in (0, 1, 2, 5, 56, 300):
+        fast, slow = random.Random(seed * 1000 + m), random.Random(seed * 1000 + m)
+        assert algebraic._draw(fast, m) == tuple(slow.randrange(algebraic.PRIME) for _ in range(m))
+        assert fast.getstate() == slow.getstate()
+
+
+class ScriptedBits(random.Random):
+    """A generator whose getrandbits returns a fixed script, recording the
+    widths asked for."""
+
+    def __init__(self, script):
+        super().__init__(0)
+        self.script = list(script)
+        self.widths = []
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return self.script.pop(0)
+
+
+def test_draw_redraws_where_randrange_does():
+    # A real generator returns bits at or above PRIME about once in 3e7
+    # draws, so only a script reaches the redraw
+    p = algebraic.PRIME
+    script = [5, p, p + 1, 7, (1 << 30) - 1, p - 1, 0, p, p, p + 2, 3, 11]
+    fast, slow = ScriptedBits(script), ScriptedBits(script)
+    drawn = algebraic._draw(fast, 5)
+    assert drawn == tuple(slow.randrange(p) for _ in range(5)) == (5, 7, p - 1, 0, 3)
+    assert fast.widths == slow.widths == [p.bit_length()] * 11
+    assert fast.script == slow.script == [11]
 
 
 def planted_yes_instance():

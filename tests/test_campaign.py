@@ -247,6 +247,17 @@ def test_every_solver_family_agrees_on_out_of_range_k():
                     assert not any(answers.values())
 
 
+@pytest.mark.parametrize("row", [key for key in campaign.SOLVERS if key[0] != "tkpm"],
+                         ids="-".join)
+def test_every_colored_solver_rejects_an_unknown_color(row):
+    # the tkpm row reads a weighted graph, which has no colors; every other
+    # row reads a colored one, and none may take "x" for blue
+    instance = EmInstance(ColoredGraph(2, ((1, 0, "x"),)), 0)
+    solve = campaign.SOLVERS[row][2]
+    with pytest.raises(ValueError, match="unknown color 'x' at edge 0"):
+        solve(instance, 0, 1, None)
+
+
 def test_exhaustive_sweep_n2():
     report = exhaustive_sweep(2)
     assert report.instances_run == 4

@@ -179,6 +179,17 @@ def test_edge_classes():
     assert WeightedGraph(0, ()).num_classes == 0
 
 
+def test_edge_classes_reject_an_unknown_color():
+    # construction accepts the graph and validate reports it; reading its
+    # colors as classes raises, naming the edge
+    g = ColoredGraph(3, ((0, 1, BLUE), (1, 2, "purple")))
+    assert validate(g) == "unknown color 'purple' at edge 1"
+    with pytest.raises(ValueError, match="unknown color 'purple' at edge 1"):
+        g.edge_classes
+    with pytest.raises(ValueError, match="unknown color"):
+        g.num_red
+
+
 def test_validate_accepts_all_complete_graphs():
     for n in range(7):
         edges = tuple((u, v, RED) for u, v in itertools.combinations(range(n), 2))
