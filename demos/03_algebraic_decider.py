@@ -33,21 +33,22 @@ print("sides:", bp.sides, "left:", bp.left, "right:", bp.right)
 # The exact symbolic determinant in the red-marker variable y, with
 # isolation weights 2^w, is the reference the decider is tested against:
 # the coefficient of y^j collects (signed) powers of two from perfect
-# matchings with j red edges. Here both matchings are visible: one
-# blue-blue, one through red.
+# matchings with j red edges. It comes back as a tuple of coefficients,
+# lowest power first, with no trailing zero. Here both matchings are
+# visible: one blue-blue, one through red.
 weights = sample_isolation_weights(len(c4.edges), 0)
 det = symbolic_determinant(c4, bp, weights)
 print("weights:", weights)
-print("determinant coefficients by red count:",
-      [det.coeff(j) for j in range(3)])
+print("determinant coefficients by red count:", det)
 
 # Cancellation is the failure mode random values guard against: with
 # equal weights on an all-blue 4-cycle, the two matchings have opposite
 # sign and identical weight, and the determinant collapses to zero even
-# though perfect matchings exist. A zero never certifies "no".
+# though perfect matchings exist, and () is the zero polynomial. A zero
+# never certifies "no".
 all_blue = ColoredGraph(4, ((0, 1, BLUE), (1, 2, BLUE), (2, 3, BLUE), (0, 3, BLUE)))
 flat = symbolic_determinant(all_blue, find_bipartition(all_blue), (1, 1, 1, 1))
-print("all-blue C4 with flat weights, determinant:", flat.coeffs or (0,))
+print("all-blue C4 with flat weights, determinant:", flat)
 
 # The full decider: yes answers are certified, no answers carry an error
 # bound of 2^-trials. Each trial gets every coefficient of det(B + yR)

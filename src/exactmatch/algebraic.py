@@ -31,7 +31,8 @@ perfect matching.
 
 symbolic_determinant keeps an exact big-integer route, with isolation
 weights 2^w in place of field values, as a reference that tests and
-demos compare against: one integer determinant at y = 2^s.
+demos compare against: one integer determinant at y = 2^s, read back as
+a tuple of integer coefficients.
 
 Parity matching (red count congruent to k mod 2, optionally bounded by k)
 is decided here as well, by one exact-matching query per feasible red count
@@ -53,7 +54,6 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from .engines import brute_em
 from .graphs import ColoredGraph, EmInstance, Matching
-from .polynomials import Polynomial
 
 DEFAULT_TRIALS = 40
 PRIME = (1 << 30) - 35      # below 2^30, so every residue is one CPython digit
@@ -61,8 +61,9 @@ _BITS = PRIME.bit_length()
 
 WeightAssignment = tuple[int, ...]
 
-# Coefficient vectors computed during the current parity decision, keyed by
-# the exact input of _field_coefficients; None outside a parity decision.
+# Coefficient vectors computed during the current parity decision: one dict
+# per (cells, size), from a trial's drawn values to its vector; None
+# outside a parity decision.
 _shared_vectors: ContextVar[Optional[dict]] = ContextVar("_shared_vectors", default=None)
 
 
@@ -160,6 +161,9 @@ def _cells(graph: ColoredGraph, bipartition: Bipartition) -> tuple[tuple[int, in
     Rows are the left-side vertices in ascending id order, columns the
     right side.
     """
+    if len(bipartition.sides) != graph.n:
+        raise ValueError(f"bipartition has {len(bipartition.sides)} sides "
+                         f"for a graph on {graph.n} vertices")
     left, right = bipartition.left, bipartition.right
     if len(left) != len(right):
         raise ValueError("bipartition sides differ in size, determinant undefined")
@@ -203,9 +207,11 @@ def symbolic_determinant(
         graph: ColoredGraph,
         bipartition: Bipartition,
         weights: WeightAssignment,
-        ) -> Polynomial:
+        ) -> tuple[int, ...]:
     """Exact determinant of the weighted bipartite adjacency matrix, as a
-    polynomial in the red-marker variable y.
+    polynomial in the red-marker variable y: its integer coefficients,
+    lowest power first, with no trailing zero, so () is the zero
+    polynomial.
 
     Rows are the left-side vertices in ascending id order, columns the
     right side; the entry for edge e is 2^w_e * y^(1 if e is red), and
@@ -233,11 +239,11 @@ def symbolic_determinant(
                          for blue_row, red_row in zip(blue, red)])
     half = 1 << (shift - 1)
     coeffs = []
-    while value:
+    while value:        # ends on a nonzero digit, so no trailing zero
         digit = (value + half) % (1 << shift) - half    # in [-half, half)
         coeffs.append(digit)
         value = (value - digit) >> shift
-    return Polynomial(coeffs)
+    return tuple(coeffs)
 
 
 def _eliminate(rows: list[list[int]], count: int) -> tuple[int, list[list[int]], list[list[int]]]:
@@ -369,13 +375,11 @@ class _Layout(NamedTuple):
                    free=len(free), kept=r, sign=-1 if inversions % 2 else 1)
 
 
-def _field_coefficients(cells: tuple[tuple[int, int, bool], ...], values: WeightAssignment,
-                        size: int, degree: int, layout: Optional[_Layout] = None) -> list[int]:
+def _field_coefficients(layout: _Layout, values: WeightAssignment, degree: int) -> list[int]:
     """Coefficients of det(B + yR) over GF(PRIME) up to y^degree, where
     the value of each blue edge adds into its cell of B and of each red
-    edge into its cell of R; degree must bound the determinant's degree.
-    layout, when given, must be _Layout.of(cells, size), which the decider
-    builds once per decision.
+    edge into its cell of R, placed in the rows by layout, which is
+    _Layout.of(cells, size); degree must bound the determinant's degree.
 
     Forward elimination of the free columns, where y never appears, with
     row operations that do not depend on y, leaves the r kept columns'
@@ -394,9 +398,8 @@ def _field_coefficients(cells: tuple[tuple[int, int, bool], ...], values: Weight
     """
     p = PRIME
     zero = [0] * (degree + 1)
-    if layout is None:
-        layout = _Layout.of(cells, size)
     kept = layout.kept
+    size = layout.free + kept
     rows = [[0] * (size + kept) for _ in range(size)]
     for (r, slot), x in zip(layout.slots, values):
         row = rows[r]
@@ -468,16 +471,14 @@ def algebraic_em_decide(
     layout = _Layout.of(cells, size)
     # outside a parity decision, the vectors are shared with no one
     shared = _shared_vectors.get()
-    if shared is None:
-        shared = {}
+    vectors = {} if shared is None else shared.setdefault((cells, size), {})
     rng = random.Random(seed)
     transcript: list[tuple[WeightAssignment, bool]] = []
     for trial in range(trials):
         values = _draw(rng, len(cells))
-        key = (cells, values, size, degree)
-        coeffs = shared.get(key)
+        coeffs = vectors.get(values)
         if coeffs is None:
-            coeffs = shared[key] = _field_coefficients(*key, layout)
+            coeffs = vectors[values] = _field_coefficients(layout, values, degree)
         hit = coeffs[k] != 0
         transcript.append((values, hit))
         if hit:

@@ -51,7 +51,7 @@ from .generator import GenSpec, gen_instance
 from .graphs import BLUE, RED, ColoredGraph, EmInstance
 from .reduction import decide_em_via_tkpm
 
-SWEEP_COLORINGS_CAP = 128   # colorings sampled per graph when 2^m is too many
+SWEEP_COLORINGS_CAP = 128   # colorings sampled per graph of more than 10 edges
 SWEEP_N8_GRAPHS = 60        # sampled graph structures at n = 8
 
 
@@ -212,25 +212,19 @@ def _sampled_pm_graphs(n: int, count: int, rng: random.Random):
     return out
 
 
-def _colorings(m: int, cap: int, rng: random.Random) -> Iterator[int]:
-    """All 2^m red/blue colorings as bitmasks when m <= 10 or 2^m <= cap,
-    else a seeded sample of cap distinct ones."""
-    if cap < 1:
-        raise ValueError("colorings_cap must be at least 1")
-    if m <= 10 or 1 << m <= cap:
+def _colorings(m: int, rng: random.Random) -> Iterator[int]:
+    """All 2^m red/blue colorings as bitmasks when m <= 10, else a seeded
+    sample of SWEEP_COLORINGS_CAP distinct ones."""
+    if m <= 10:
         yield from range(1 << m)
         return
     seen: set[int] = set()
-    while len(seen) < cap:
+    while len(seen) < SWEEP_COLORINGS_CAP:
         seen.add(rng.getrandbits(m))
     yield from sorted(seen)
 
 
-def exhaustive_instances(
-        max_n: int,
-        colorings_cap: int = SWEEP_COLORINGS_CAP,
-        seed: int = 0,
-        ) -> Iterator[EmInstance]:
+def exhaustive_instances(max_n: int, seed: int = 0) -> Iterator[EmInstance]:
     """The covering instance stream behind exhaustive_sweep: for each even
     n <= max_n, every graph class that can have a perfect matching (all
     isomorphism classes for n <= 6, seeded samples at n = 8), crossed with
@@ -247,7 +241,7 @@ def exhaustive_instances(
             structures = _sampled_pm_graphs(n, SWEEP_N8_GRAPHS, rng)
         for edges in structures:
             m = len(edges)
-            for bits in _colorings(m, colorings_cap, rng):
+            for bits in _colorings(m, rng):
                 colored = tuple(
                     (u, v, RED if (bits >> i) & 1 else BLUE)
                     for i, (u, v) in enumerate(edges))
@@ -378,7 +372,6 @@ def _cross_check(cases, engines: dict, trials: int,
 
 def exhaustive_sweep(
         max_n: int,
-        colorings_cap: int = SWEEP_COLORINGS_CAP,
         seed: int = 0,
         budget: Optional[EnumerationBudget] = None,
         ) -> CampaignReport:
@@ -390,7 +383,7 @@ def exhaustive_sweep(
     unbudgeted, which always terminates at these sizes.
     """
     cases = ((iid, instance, None) for iid, instance
-             in enumerate(exhaustive_instances(max_n, colorings_cap, seed)))
+             in enumerate(exhaustive_instances(max_n, seed)))
     engines = {name: ENGINES[name] for name in ("brute-em", "via-tkpm")}
     return _cross_check(cases, engines, 1, budget, seed)
 

@@ -32,7 +32,6 @@ from exactmatch.engines import (
 )
 from exactmatch.generator import GenSpec, gen_instance
 from exactmatch.graphs import RED, ColoredGraph, EmInstance, red_count
-from exactmatch.polynomials import Polynomial
 from exactmatch.reduction import gadgetize, lift_matching, lifted_value, project_matching
 
 # Seeded random batches used by criterion 1 and re-derived by criterion 4.
@@ -203,7 +202,7 @@ def enumeration_polynomial(graph, bipartition, weights):
     straight from the enumeration engine rather than any determinant."""
     row = {v: i for i, v in enumerate(bipartition.left)}
     col = {v: j for j, v in enumerate(bipartition.right)}
-    total = Polynomial.zero()
+    coeffs = [0] * (len(bipartition.left) + 1)
     for matching in enumerate_perfect_matchings(graph):
         perm = [0] * len(bipartition.left)
         wsum = 0
@@ -214,8 +213,10 @@ def enumeration_polynomial(graph, bipartition, weights):
             perm[row[lu]] = col[rv]
             wsum += weights[eid]
             reds += color == RED
-        total = total + Polynomial.monomial(perm_sign(perm) * 2 ** wsum, reds)
-    return total
+        coeffs[reds] += perm_sign(perm) * 2 ** wsum
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def thinned(graph, seed):

@@ -16,6 +16,7 @@ import pytest
 import exactmatch.campaign as campaign
 from exactmatch.algebraic import find_bipartition, yes_and_error
 from exactmatch.campaign import (
+    SWEEP_COLORINGS_CAP,
     SWEEP_N8_GRAPHS,
     CampaignReport,
     Disagreement,
@@ -176,39 +177,36 @@ def test_exhaustive_instances_rejects_empty_sweep(max_n):
 
 
 def test_colorings_all_when_cap_covers_them():
-    # 2^11 = 2048 colorings fit under a cap of 5000: all of them, in order,
-    # instead of a sampling loop that could never collect 5000 distinct ones
-    assert list(campaign._colorings(11, 5000, random.Random(0))) == list(range(2048))
-    assert list(campaign._colorings(11, 2048, random.Random(0))) == list(range(2048))
-    assert list(campaign._colorings(3, 1, random.Random(0))) == list(range(8))
+    # up to m = 7 the cap of 128 covers all 2^m colorings, and up to m = 10
+    # they are still enumerated whole, in order, without drawing from rng
+    for m in range(11):
+        rng = random.Random(0)
+        state = rng.getstate()
+        assert list(campaign._colorings(m, rng)) == list(range(1 << m))
+        assert rng.getstate() == state
+    assert 1 << 7 == SWEEP_COLORINGS_CAP
 
 
 def test_colorings_samples_distinct_when_cap_is_below_2_to_the_m():
-    got = list(campaign._colorings(11, 2047, random.Random(4)))
-    assert len(got) == len(set(got)) == 2047
-    assert got == sorted(got) and all(0 <= bits < 2048 for bits in got)
-    again = list(campaign._colorings(11, 2047, random.Random(4)))
-    assert got == again
-
-
-@pytest.mark.parametrize("cap", [0, -1])
-def test_colorings_cap_below_one_is_rejected(cap):
-    with pytest.raises(ValueError, match="colorings_cap"):
-        list(campaign._colorings(3, cap, random.Random(0)))
-    with pytest.raises(ValueError, match="colorings_cap"):
-        list(exhaustive_instances(6, colorings_cap=cap))
+    for m in (11, 15, 40):
+        got = list(campaign._colorings(m, random.Random(4)))
+        assert len(got) == len(set(got)) == SWEEP_COLORINGS_CAP
+        assert got == sorted(got) and all(0 <= bits < 1 << m for bits in got)
+        assert got == list(campaign._colorings(m, random.Random(4)))
 
 
 def test_exhaustive_instances_cap_above_2_to_the_m_yields_every_coloring():
-    # the first 11-edge class at n = 6 has 2^11 = 2048 colorings, fewer than
-    # the cap, so the stream yields all of them with every k in 0..3
-    stream = exhaustive_instances(6, colorings_cap=5000)
-    first = next(inst for inst in stream if len(inst.graph.edges) == 11)
-    rest = list(itertools.islice(stream, 4 * 2048 - 1))
-    structure = [(u, v) for u, v, _ in first.graph.edges]
-    assert all([(u, v) for u, v, _ in inst.graph.edges] == structure for inst in rest)
-    colorings = {inst.graph.colors for inst in [first] + rest}
-    assert len(colorings) == 2048
+    # the first 7-edge class at n = 6 has 2^7 colorings, as many as the cap,
+    # so the stream yields all of them with every k in 0..3; the first
+    # 11-edge class has 2^11, so it yields a sample of cap distinct ones
+    for m, colorings in ((7, 1 << 7), (11, SWEEP_COLORINGS_CAP)):
+        stream = exhaustive_instances(6)
+        first = next(inst for inst in stream if len(inst.graph.edges) == m)
+        rest = list(itertools.islice(stream, 4 * colorings - 1))
+        structure = [(u, v) for u, v, _ in first.graph.edges]
+        assert all([(u, v) for u, v, _ in inst.graph.edges] == structure for inst in rest)
+        assert [inst.k for inst in [first] + rest] == [0, 1, 2, 3] * colorings
+        assert len({inst.graph.colors for inst in [first] + rest}) == colorings
 
 
 def test_exhaustive_instances_n8_extends_n6_with_sampled_structures():

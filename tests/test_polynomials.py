@@ -1,5 +1,5 @@
-"""Tests of the Polynomial value type and of the exact integer determinant
-behind symbolic_determinant.
+"""Tests of the exact integer determinant behind symbolic_determinant,
+which reads the coefficients of det(B + yR) off one integer determinant.
 
 The determinant is cross-checked against a direct permutation expansion,
 which is independent of the fraction-free elimination under test.
@@ -8,10 +8,7 @@ which is independent of the fraction-free elimination under test.
 import itertools
 import random
 
-import pytest
-
 from exactmatch.algebraic import determinant
-from exactmatch.polynomials import Polynomial
 
 
 def perm_sign(perm):
@@ -32,65 +29,8 @@ def determinant_oracle(matrix):
     return total
 
 
-def rand_poly(rng, max_deg=2, lo=-3, hi=3):
-    return Polynomial([rng.randint(lo, hi) for _ in range(rng.randint(0, max_deg + 1))])
-
-
 def rand_matrix(rng, n, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
-
-
-def test_construction_trims_trailing_zeros():
-    assert Polynomial([1, 2, 0, 0]) == Polynomial([1, 2])
-    assert Polynomial([0, 0]) == Polynomial.zero()
-    assert Polynomial([]).degree == -1
-
-
-def test_degree_and_coeff():
-    p = Polynomial([5, 0, 7])
-    assert p.degree == 2
-    assert p.coeff(0) == 5
-    assert p.coeff(1) == 0
-    assert p.coeff(2) == 7
-    assert p.coeff(9) == 0
-
-
-def test_monomial_and_constant():
-    assert Polynomial.monomial(3, 2) == Polynomial([0, 0, 3])
-    assert Polynomial.monomial(0, 5) == Polynomial.zero()
-    assert Polynomial.monomial(4, 0).degree == 0
-    with pytest.raises(ValueError):
-        Polynomial.monomial(1, -1)
-
-
-def test_immutable_and_hashable():
-    p = Polynomial([1, 2])
-    with pytest.raises(AttributeError):
-        p.coeffs = (3,)
-    assert hash(p) == hash(Polynomial([1, 2, 0]))
-
-
-def test_ring_ops():
-    # addition is the one arithmetic operation Polynomial keeps
-    a = Polynomial([1, 1])        # 1 + y
-    b = Polynomial([-1, 1])       # y - 1
-    assert a + b == Polynomial([0, 2])
-    assert a + Polynomial([-1, -1]) == Polynomial.zero()
-    assert a + Polynomial.zero() == a
-
-
-def test_ring_axioms_random():
-    rng = random.Random(11)
-    for _ in range(100):
-        a, b, c = (rand_poly(rng) for _ in range(3))
-        assert a + b == b + a
-        assert (a + b) + c == a + (b + c)
-
-
-def test_int_coercion_in_eq():
-    assert Polynomial([7]) == 7
-    assert Polynomial.zero() == 0
-    assert Polynomial([0, 1]) != 1
 
 
 def test_determinant_small_known():

@@ -1,12 +1,15 @@
 """The package depends on the Python standard library alone: every
 absolute import in src/exactmatch names a standard-library module or the
-package itself. No module, test or demo imports a name it never uses."""
+package itself. No module, test or demo imports a name it never uses. The
+package exports exactly the public names its __init__ imports."""
 
 import ast
 import sys
 from pathlib import Path
 
 import pytest
+
+import exactmatch
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "exactmatch"
@@ -32,6 +35,17 @@ def test_module_imports_only_the_standard_library(path):
     outside = sorted({name for name in absolute_imports(path)
                       if name.split(".")[0] not in allowed})
     assert not outside, f"{path.name} imports {outside}"
+
+
+def test_all_lists_exactly_the_public_names_init_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    public = sorted(name for name in imported if not name.startswith("_"))
+    assert sorted(exactmatch.__all__) == public
+    namespace = {}
+    exec("from exactmatch import *", namespace)
+    assert set(exactmatch.__all__) <= set(namespace)
 
 
 def unused_imports(path):
