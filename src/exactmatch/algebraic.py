@@ -164,6 +164,9 @@ def _cells(graph: ColoredGraph, bipartition: Bipartition) -> tuple[tuple[int, in
     if len(bipartition.sides) != graph.n:
         raise ValueError(f"bipartition has {len(bipartition.sides)} sides "
                          f"for a graph on {graph.n} vertices")
+    for v, side in enumerate(bipartition.sides):
+        if side != 0 and side != 1:
+            raise ValueError(f"bipartition puts vertex {v} on side {side!r}, not 0 or 1")
     left, right = bipartition.left, bipartition.right
     if len(left) != len(right):
         raise ValueError("bipartition sides differ in size, determinant undefined")

@@ -16,6 +16,7 @@ Exit codes: 0 yes/ok, 1 no, 2 usage or input error, 3 disagreement found.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -141,7 +142,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 3 if report.disagreements else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps
+    no state between calls, so main reuses it."""
     parser = argparse.ArgumentParser(
         prog="exactmatch",
         description="Exact matching toolkit: generate, reduce, solve, verify.")

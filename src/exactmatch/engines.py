@@ -32,6 +32,7 @@ every matching.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -108,27 +109,31 @@ def _iter_unordered(graph: Graph,
     adj = graph.adjacency
     edges = graph.edges
     classes = graph.edge_classes
-    avail = [len(a) for a in adj]
+    avail = list(map(len, adj))
     if 0 in avail:
         return
     max_matchings = budget.max_matchings if budget else None
-    max_nodes = budget.max_nodes if budget else None
+    # settle checks the node budget with one comparison
+    max_nodes = budget.max_nodes if budget and budget.max_nodes is not None else math.inf
     covered = bytearray(n)
     chosen: list[int] = []
+    choose = chosen.append
     counts = [0] * graph.num_classes
     yielded = 0
     nodes = 0
 
-    def settle(next_edge: Optional[tuple[int, int, int]], queue: list[int]):
-        """Place next_edge (if any), then every forced move among the queued
-        vertices and those the moves leave with one available edge.
-        Returns the undo log (length of chosen before, vertices whose count
-        was decremented) and whether some vertex was left without edges."""
+    def settle(eid: Optional[int], a: int, b: int, queue: list[int]):
+        """Place edge eid between a and b (none when eid is None), then
+        every forced move among the queued vertices and those the moves
+        leave with one available edge. Returns the undo log (length of
+        chosen before, vertices whose count was decremented) and whether
+        some vertex was left without edges."""
         nonlocal nodes
         decs: list[int] = []
+        dec = decs.append
         log = (len(chosen), decs)
         while True:
-            while next_edge is None and queue:
+            while eid is None and queue:
                 w = queue.pop()
                 if covered[w]:
                     continue
@@ -136,29 +141,28 @@ def _iter_unordered(graph: Graph,
                 # as dead, so w has exactly one edge left
                 for e2, x in adj[w]:
                     if not covered[x]:
-                        next_edge = (e2, w, x)
+                        eid, a, b = e2, w, x
                         break
-            if next_edge is None:
+            if eid is None:
                 return log, False
-            eid, a, b = next_edge
-            next_edge = None
             nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
+            if nodes > max_nodes:
                 raise BudgetExhausted(yielded, nodes)
             covered[a] = 1
             covered[b] = 1
-            chosen.append(eid)
+            choose(eid)
             counts[classes[eid]] += 1
-            for x in (a, b):
-                for _, w in adj[x]:
-                    if not covered[w]:
-                        left = avail[w] - 1
-                        avail[w] = left
-                        decs.append(w)
-                        if left == 0:
-                            return log, True
-                        if left == 1:
-                            queue.append(w)
+            eid = None
+            # a's neighbours, then b's: the order fixes the cascade
+            for _, w in adj[a] + adj[b]:
+                if not covered[w]:
+                    left = avail[w] - 1
+                    avail[w] = left
+                    dec(w)
+                    if left == 0:
+                        return log, True
+                    if left == 1:
+                        queue.append(w)
 
     def undo(log) -> None:
         mark, decs = log
@@ -182,7 +186,7 @@ def _iter_unordered(graph: Graph,
             eid, other = incident[i]
             i += 1
             if other != b and not covered[other]:
-                log, dead = settle((eid, b, other), [])
+                log, dead = settle(eid, b, other, [])
                 if not dead:
                     frame[1] = i
                     frame[2] = log
@@ -190,7 +194,7 @@ def _iter_unordered(graph: Graph,
                 undo(log)
         return False
 
-    if settle(None, [v for v in range(n) if avail[v] == 1])[1]:
+    if settle(None, 0, 0, [v for v in range(n) if avail[v] == 1])[1]:
         return
     stack: list[list] = []   # frames [branch vertex, next adjacency index, undo log]
     v = 0

@@ -7,7 +7,10 @@ one record per edge:
     p em <n> <m> <k>        then m lines    e <u> <v> <r|b>
     p tkpm <n> <m> <k>      then m lines    e <u> <v> <weight>
 
-Vertex ids are 0-based. Edge endpoints may appear in either order in a
+Numbers (counts, ids, k, weights) are ASCII decimal digits after an
+optional '-', which the range and sign checks then report; the other
+spellings int() takes ('1_0', '+1', non-ASCII digits) are errors. Vertex
+ids are 0-based. Edge endpoints may appear in either order in a
 file; they are normalized to u < v on parse, which never changes edge ids.
 A matching serializes to a single line "m <count> <edge-id>...".
 
@@ -20,6 +23,7 @@ strict to be.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator
 
 from .graphs import BLUE, RED, ColoredGraph, EmInstance, Matching, TkpmInstance, WeightedGraph
@@ -39,10 +43,14 @@ def _significant_lines(text: str) -> Iterator[tuple[int, str]]:
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise InstanceFormatError(f"line {lineno}: {what} is not an integer: {token!r}") from None
+    # int() reads a whitespace-free ASCII token without '_' or '+' only when
+    # it is decimal digits after an optional '-'
+    if token.isascii() and "_" not in token and "+" not in token:
+        try:
+            return int(token)
+        except ValueError:   # more digits than int() converts
+            pass
+    raise InstanceFormatError(f"line {lineno}: {what} is not an integer: {token!r}")
 
 
 def _parse_header(lineno: int, line: str, problem: str) -> tuple[int, int, int]:
@@ -112,18 +120,22 @@ def parse_tkpm_instance(text: str) -> TkpmInstance:
     return TkpmInstance(WeightedGraph(n, tuple(edges)), k)
 
 
+def _format_instance(problem: str, graph, k: int) -> str:
+    """The header, then every edge record from one %-format over the
+    flattened (u, v, payload) triples; %s prints what str() does."""
+    edges = graph.edges
+    if set(map(len, edges)) - {3}:
+        raise ValueError("every edge must be a (u, v, payload) triple")
+    return (f"p {problem} {graph.n} {len(edges)} {k}\n"
+            + "e %s %s %s\n" * len(edges) % tuple(chain.from_iterable(edges)))
+
+
 def format_em_instance(instance: EmInstance) -> str:
-    g = instance.graph
-    out = [f"p em {g.n} {len(g.edges)} {instance.k}"]
-    out.extend(f"e {u} {v} {c}" for u, v, c in g.edges)
-    return "\n".join(out) + "\n"
+    return _format_instance("em", instance.graph, instance.k)
 
 
 def format_tkpm_instance(instance: TkpmInstance) -> str:
-    g = instance.graph
-    out = [f"p tkpm {g.n} {len(g.edges)} {instance.k}"]
-    out.extend(f"e {u} {v} {w}" for u, v, w in g.edges)
-    return "\n".join(out) + "\n"
+    return _format_instance("tkpm", instance.graph, instance.k)
 
 
 def format_matching(matching: Matching) -> str:

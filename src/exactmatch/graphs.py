@@ -34,7 +34,7 @@ class ColoredGraph:
     edges: tuple[tuple[int, int, str], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
 
     @cached_property
     def colors(self) -> tuple[str, ...]:
@@ -80,11 +80,11 @@ class WeightedGraph:
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
 
     @cached_property
     def weights(self) -> tuple[int, ...]:
-        return tuple(e[2] for e in self.edges)
+        return tuple([e[2] for e in self.edges])
 
     @cached_property
     def class_weights(self) -> tuple[int, ...]:
@@ -99,7 +99,7 @@ class WeightedGraph:
     @cached_property
     def edge_classes(self) -> tuple[int, ...]:
         rank = {w: c for c, w in enumerate(self.class_weights)}
-        return tuple(rank[w] for w in self.weights)
+        return tuple(map(rank.__getitem__, self.weights))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -133,7 +133,7 @@ def _build_adjacency(n, edges):
         u, v = e[0], e[1]
         adj[u].append((i, v))
         adj[v].append((i, u))
-    return tuple(tuple(a) for a in adj)
+    return tuple(map(tuple, adj))
 
 
 def validate(graph: Graph) -> Optional[str]:

@@ -26,6 +26,7 @@ edge, then the forced edges), which makes serialized gadgets byte-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .engines import EnumerationBudget, tkpm_reaches
@@ -102,7 +103,7 @@ def gadgetize(instance: EmInstance) -> tuple[TkpmInstance, GadgetMap]:
 
     kprime = 2 * num_red
     threshold = 4 * num_red + k
-    gadget = TkpmInstance(WeightedGraph(n + 4 * m + 2 * k, tuple(edges)), kprime)
+    gadget = TkpmInstance(WeightedGraph(n + 4 * m + 2 * k, edges), kprime)
     gadget_map = GadgetMap(
         source=instance,
         gadget=gadget,
@@ -191,10 +192,10 @@ def decide_em_via_tkpm(instance: EmInstance,
 def format_gadget_map(gadget_map: GadgetMap) -> str:
     """Deterministic sidecar text for a reduction: one header, one line of
     path edge ids per source edge, one line of forced-edge ids."""
-    k = len(gadget_map.ek_edges)
-    lines = [f"p map {len(gadget_map.path_edges)} {k} "
-             f"{gadget_map.kprime} {gadget_map.threshold}"]
-    for i, path in enumerate(gadget_map.path_edges):
-        lines.append("g " + " ".join(str(x) for x in (i, *path)))
-    lines.append("ek " + " ".join([str(k)] + [str(e) for e in gadget_map.ek_edges]))
-    return "\n".join(lines) + "\n"
+    paths, ek = gadget_map.path_edges, gadget_map.ek_edges
+    m = len(paths)
+    # rows (i, p1, ..., p5), all written by one %-format
+    rows = tuple(chain.from_iterable(zip(range(m), *zip(*paths))))
+    return (f"p map {m} {len(ek)} {gadget_map.kprime} {gadget_map.threshold}\n"
+            + "g %s %s %s %s %s %s\n" * m % rows
+            + " ".join(map(str, ("ek", len(ek), *ek))) + "\n")

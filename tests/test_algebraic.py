@@ -171,6 +171,13 @@ def test_symbolic_determinant_rejects_a_bipartition_of_another_graph():
             symbolic_determinant(C4, Bipartition(sides), (1, 2, 3, 4))
 
 
+def test_symbolic_determinant_rejects_a_side_label_other_than_0_or_1():
+    # the label 2 used to fail as KeyError: 2 while looking up the row
+    path = ColoredGraph(4, ((0, 1, RED), (1, 2, BLUE), (2, 3, BLUE)))
+    with pytest.raises(ValueError, match="vertex 2 on side 2, not 0 or 1"):
+        symbolic_determinant(path, Bipartition((0, 1, 2, 2)), (1, 1, 1))
+
+
 def test_symbolic_determinant_weight_count_checked():
     bp = find_bipartition(K2_RED)
     with pytest.raises(ValueError, match="one weight per edge"):

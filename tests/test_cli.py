@@ -1,5 +1,6 @@
 """Command-line interface tests, driven in-process through main(argv)."""
 
+import hashlib
 import itertools
 import json
 
@@ -10,7 +11,8 @@ import exactmatch.cli as cli
 from exactmatch.algebraic import find_bipartition
 from exactmatch.campaign import CampaignReport, Disagreement
 from exactmatch.cli import main
-from exactmatch.formats import parse_em_instance, parse_tkpm_instance
+from exactmatch.formats import format_em_instance, parse_em_instance, parse_tkpm_instance
+from exactmatch.generator import GenSpec, gen_instance
 from exactmatch.graphs import is_perfect_matching, red_count, top_k_weight
 
 K2_RED_K1 = "p em 2 1 1\ne 0 1 r\n"
@@ -63,6 +65,16 @@ def test_reduce_roundtrip(tmp_path, capsys):
     gadget = parse_tkpm_instance((tmp_path / "gadget.tkpm").read_text())
     assert gadget.graph.n == 8 and len(gadget.graph.edges) == 6
     assert (tmp_path / "gadget.map").read_text().startswith("p map 1 1 2 5")
+
+
+def test_reduce_output_bytes_are_pinned(tmp_path, capsys):
+    inst = gen_instance(GenSpec(n=2000, extra_edges=40, seed=1))
+    src = write(tmp_path, "big.em", format_em_instance(inst))
+    out, mp = tmp_path / "big.tkpm", tmp_path / "big.map"
+    assert main(["reduce", "--in", src, "--out", str(out), "--map", str(mp)]) == 0
+    sha = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+    assert sha(out) == "3550b3406fe195f104bd4d597af9256c1f71d3d9805d4da508d9444980b53804"
+    assert sha(mp) == "de4568566daa287717ab26e5dc3a6d12a681c76c487e6e516c1deac51bd6a2c3"
 
 
 def test_reduce_missing_input(tmp_path, capsys):
@@ -310,6 +322,28 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["verify", "--exhaustive", "--random"])
     assert info.value.code == 2
+
+
+def test_repeated_calls_in_one_process_keep_no_state(tmp_path, monkeypatch, capsys):
+    # main reuses one parser per process: no option value may carry over
+    src = write(tmp_path, "in.em", K2_RED_K1)
+    seeds = []
+
+    def record(inst, seed, trials, budget):
+        seeds.append(seed)
+        return None
+
+    monkeypatch.setitem(cli.SOLVERS, ("em", "brute"), ("brute-em", False, record))
+    assert main(["solve", "em", "--in", src, "--seed", "5"]) == 1
+    assert main(["solve", "em", "--in", src]) == 1
+    assert seeds == [5, None]
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "em", "--in", src, "--engine", "nosuch"])
+    assert info.value.code == 2
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert main(["solve", "em", "--in", src]) == 0
+    assert capsys.readouterr().out == "yes\nm 1 0\n"
 
 
 def test_console_entry_matches_main():

@@ -20,6 +20,7 @@ from exactmatch.engines import (
     has_perfect_matching,
     tkpm_reaches,
 )
+from exactmatch.generator import GenSpec, gen_instance
 from exactmatch.graphs import (
     BLUE,
     RED,
@@ -32,7 +33,7 @@ from exactmatch.graphs import (
     top_k_weight,
     validate,
 )
-from exactmatch.reduction import decide_em_via_tkpm
+from exactmatch.reduction import decide_em_via_tkpm, gadgetize
 
 C4 = ColoredGraph(4, ((0, 1, BLUE), (1, 2, BLUE), (2, 3, BLUE), (0, 3, BLUE)))
 K2_RED = ColoredGraph(2, ((0, 1, RED),))
@@ -184,6 +185,30 @@ def test_budget_max_nodes():
     with pytest.raises(BudgetExhausted) as info:
         list(enumerate_perfect_matchings(complete_graph(6), EnumerationBudget(max_nodes=2)))
     assert info.value.nodes_seen == 3
+
+
+def budget_outcome(graph, budget):
+    try:
+        return "complete", len(list(enumerate_perfect_matchings(graph, budget)))
+    except BudgetExhausted as exc:
+        return exc.matchings_seen, exc.nodes_seen
+
+
+@pytest.mark.parametrize("which, expected", [
+    (1, [(1, 8), (20, 61), (5, 21)]),
+    (2, [(1, 8), (16, 61), (5, 21)]),
+    (3, [(1, 8), (18, 61), (5, 21)]),
+    ("gadget", [(0, 8), (2, 61), (5, 200)]),
+], ids=["seed 1", "seed 2", "seed 3", "gadget"])
+def test_budget_counts_are_pinned(which, expected):
+    # the search's placement order fixes where a budget trips
+    budgets = (EnumerationBudget(max_nodes=7), EnumerationBudget(max_nodes=60),
+               EnumerationBudget(max_matchings=5))
+    if which == "gadget":
+        graph = gadgetize(gen_instance(GenSpec(n=8, extra_edges=12, seed=4)))[0].graph
+    else:
+        graph = gen_instance(GenSpec(n=12, extra_edges=30, seed=which)).graph
+    assert [budget_outcome(graph, b) for b in budgets] == expected
 
 
 def test_budget_validation():

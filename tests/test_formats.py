@@ -1,5 +1,9 @@
 """Text format tests: instance round trips and line-numbered parse errors."""
 
+import hashlib
+import itertools
+import random
+
 import pytest
 
 from exactmatch.formats import (
@@ -33,6 +37,31 @@ def test_round_trip_tkpm():
     g = WeightedGraph(4, ((0, 1, 5), (2, 3, 0)))
     inst = TkpmInstance(g, 2)
     assert parse_tkpm_instance(format_tkpm_instance(inst)) == inst
+
+
+def random_edges(rng, n, payload):
+    """A random simple edge list on n vertices with u < v, in random order."""
+    pairs = rng.sample(list(itertools.combinations(range(n), 2)),
+                       rng.randint(0, min(60, n * (n - 1) // 2)))
+    return tuple((u, v, payload()) for u, v in pairs)
+
+
+def test_round_trip_seeded_property():
+    rng = random.Random(15)
+    for _ in range(300):
+        n = rng.randint(0, 40)
+        colored = EmInstance(ColoredGraph(n, random_edges(rng, n, lambda: rng.choice((RED, BLUE)))),
+                             rng.randint(0, n // 2))
+        weighted = TkpmInstance(WeightedGraph(n, random_edges(rng, n, lambda: rng.randint(0, 10 ** 6))),
+                                rng.randint(0, n))
+        assert parse_em_instance(format_em_instance(colored)) == colored
+        assert parse_tkpm_instance(format_tkpm_instance(weighted)) == weighted
+
+
+def test_format_em_instance_bytes_are_pinned():
+    text = format_em_instance(gen_instance(GenSpec(n=2000, extra_edges=40, seed=1)))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "9b1474e9d2798ef6d16916a2415a78be8a1e975460a4369eee0030cb51218ff1"
 
 
 def test_round_trip_generated_instances():
@@ -83,6 +112,46 @@ def test_error_vertex_out_of_range():
         parse_em_instance("p em 2 1 0\ne 0 2 r\n")
 
 
+def test_error_underscore_in_vertex_id():
+    # int() reads '1_0' as 10
+    with pytest.raises(InstanceFormatError, match="line 2: vertex id is not an integer: '1_0'"):
+        parse_em_instance("p em 12 1 0\ne 0 1_0 r\n")
+
+
+def test_error_non_ascii_digit_in_vertex_id():
+    # int() reads the Arabic-Indic digit one as 1
+    with pytest.raises(InstanceFormatError, match="line 2: vertex id is not an integer"):
+        parse_em_instance("p em 2 1 0\ne 0 \u0661 r\n")
+
+
+@pytest.mark.parametrize("parse, text, what", [
+    (parse_em_instance, "p em 2 1 0\ne 0 +1 r\n", "line 2: vertex id"),
+    (parse_em_instance, "p em 2 1 +1\ne 0 1 r\n", "line 1: k"),
+    (parse_tkpm_instance, "p tkpm 2 1 0\ne 0 1 +1\n", "line 2: weight"),
+    (parse_matching, "m +1 0", "line 1: matching size"),
+], ids=["vertex id", "k", "weight", "matching size"])
+def test_error_plus_sign(parse, text, what):
+    with pytest.raises(InstanceFormatError, match=rf"{what} is not an integer: '\+1'"):
+        parse(text)
+
+
+def test_minus_sign_reaches_the_range_checks():
+    with pytest.raises(InstanceFormatError, match=r"line 2: vertex id out of range 0\.\.1"):
+        parse_em_instance("p em 2 1 0\ne -1 1 r\n")
+    with pytest.raises(InstanceFormatError, match="line 1: matching size is not an integer: '--1'"):
+        parse_matching("m --1")
+
+
+@pytest.mark.parametrize("parse, text, what", [
+    (parse_em_instance, "p em 2 1 0\ne 0 " + "1" * 5000 + " r\n", "line 2: vertex id"),
+    (parse_tkpm_instance, "p tkpm 2 1 0\ne 0 1 " + "1" * 5000 + "\n", "line 2: weight"),
+], ids=["vertex id", "weight"])
+def test_error_more_digits_than_int_converts(parse, text, what):
+    # int() refuses a digit string longer than sys.get_int_max_str_digits()
+    with pytest.raises(InstanceFormatError, match=f"{what} is not an integer"):
+        parse(text)
+
+
 def test_error_too_many_edges():
     with pytest.raises(InstanceFormatError, match="line 3: unexpected record after 1 edges"):
         parse_em_instance("p em 4 1 0\ne 0 1 r\ne 2 3 b\n")
@@ -130,6 +199,12 @@ def test_matching_repeated_id():
         parse_matching(format_matching((3, 1, 3)), lineno=4)
 
 
+def test_matching_underscore_in_edge_id():
+    # int() reads '1_0' as 10
+    with pytest.raises(InstanceFormatError, match="line 1: edge id is not an integer: '1_0'"):
+        parse_matching("m 1 1_0")
+
+
 def test_matching_bad_prefix():
     with pytest.raises(InstanceFormatError, match="malformed matching"):
         parse_matching("x 1 0")
@@ -139,3 +214,13 @@ def test_format_em_instance_layout():
     g = ColoredGraph(2, ((0, 1, RED),))
     text = format_em_instance(EmInstance(g, 1))
     assert text.splitlines() == ["p em 2 1 1", "e 0 1 r"]
+
+
+@pytest.mark.parametrize("edges", [
+    ((0, 1), (2, 3, RED, "x")),
+    ((0, 1, RED, "x"),),
+], ids=["mixed arity", "one quadruple"])
+def test_format_rejects_an_edge_that_is_not_a_triple(edges):
+    # the field count of the edges together would fit a mixed-arity list
+    with pytest.raises(ValueError, match="triple"):
+        format_em_instance(EmInstance(ColoredGraph(4, edges), 0))
