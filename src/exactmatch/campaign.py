@@ -17,8 +17,14 @@ Comparison convention: a verdict is exact unless it is "probably-no". A
 "probably no" from a randomized engine against a brute-force "yes" is a
 statistical event, recorded separately; an impossible answer (a "yes"
 against a brute-force "no", or two exact answers differing) is a hard
-disagreement. Every reported event embeds the serialized instance so it can
-be replayed on its own.
+disagreement, and so is an engine that crashes, which does not stop the
+campaign. Every reported event embeds the serialized instance so it can be
+replayed on its own.
+
+The exhaustive stream is cheap to hold whole: the graphs of one structure
+share each edge's blue and red (u, v, colour) triple, the instance types
+are slotted, and the class enumeration gathers each orbit's images in
+bulk with C-level map and zip calls.
 """
 
 from __future__ import annotations
@@ -173,9 +179,9 @@ def graph_classes_with_pm(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         raise ValueError("isomorphism-exact enumeration supports even n in 2..6 only")
     pairs = tuple(itertools.combinations(range(n), 2))
     index = {p: i for i, p in enumerate(pairs)}
-    # per relabeling, the image bit of each edge bit
-    relabel = [[1 << index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
-               for perm in itertools.permutations(range(n))]
+    # per edge bit, its image bit under each relabeling in turn
+    image_bits = tuple(zip(*[[1 << index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+                             for perm in itertools.permutations(range(n))]))
     matching = sum(1 << index[(v, v + 1)] for v in range(0, n, 2))
     seen = bytearray(1 << len(pairs))
     classes = []
@@ -183,12 +189,13 @@ def graph_classes_with_pm(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         if seen[mask]:
             continue
         bits = [i for i in range(len(pairs)) if mask >> i & 1]
-        has_pm = False
-        for bit_of in relabel:
-            image = sum(bit_of[i] for i in bits)
+        # the orbit: per relabeling, the sum of the image bits of the mask's
+        # edges; zip yields nothing for the empty mask, whose orbit {0} the
+        # scan has passed and which holds no perfect matching
+        orbit = set(map(sum, zip(*map(image_bits.__getitem__, bits))))
+        for image in orbit:
             seen[image] = 1
-            has_pm = has_pm or image & matching == matching
-        if has_pm:
+        if matching in map(matching.__and__, orbit):
             classes.append(tuple(pairs[i] for i in bits))
     return tuple(sorted(classes, key=len))
 
@@ -197,7 +204,8 @@ def _sampled_pm_graphs(n: int, count: int, rng: random.Random):
     """Seeded sample of distinct graph structures on n vertices, each
     containing the planted perfect matching {(0,1), (2,3), ...}."""
     matching = [(v, v + 1) for v in range(0, n, 2)]
-    candidates = [p for p in itertools.combinations(range(n), 2) if p not in set(matching)]
+    planted = set(matching)
+    candidates = [p for p in itertools.combinations(range(n), 2) if p not in planted]
     seen = set()
     out = []
     attempts = 0
@@ -240,12 +248,11 @@ def exhaustive_instances(max_n: int, seed: int = 0) -> Iterator[EmInstance]:
         else:
             structures = _sampled_pm_graphs(n, SWEEP_N8_GRAPHS, rng)
         for edges in structures:
-            m = len(edges)
-            for bits in _colorings(m, rng):
-                colored = tuple(
-                    (u, v, RED if (bits >> i) & 1 else BLUE)
-                    for i, (u, v) in enumerate(edges))
-                graph = ColoredGraph(n, colored)
+            # each edge's blue and red triple, shared by all the colorings
+            triples = [((u, v, BLUE), (u, v, RED)) for u, v in edges]
+            for bits in _colorings(len(edges), rng):
+                graph = ColoredGraph(
+                    n, tuple([pair[bits >> i & 1] for i, pair in enumerate(triples)]))
                 for k in range(n // 2 + 1):
                     yield EmInstance(graph, k)
 
@@ -292,10 +299,14 @@ def _cross_check(cases, engines: dict, trials: int,
     Bipartite-only engines sit out non-bipartite instances, and detection
     counts their yes answers on instances an exact engine answered yes.
     Verdicts are compared pairwise within a problem family, keeping at most
-    one hard and one statistical Disagreement per instance. An instance is
-    skipped, noted in budget_notes and none of its seconds booked when an
-    engine raises BudgetExhausted on it, or when the sit-outs leave no
-    problem family with two verdicts, since then nothing was compared.
+    one hard and one statistical Disagreement per instance. An engine that
+    raises any other exception than BudgetExhausted makes the instance's
+    hard Disagreement: its verdict is "raised <exception type>", set against
+    the first other engine of its family that answered (empty strings when
+    none did), and the loop goes on. Otherwise an instance is skipped, noted
+    in budget_notes and none of its seconds booked when an engine raises
+    BudgetExhausted on it, or when the sit-outs leave no problem family with
+    two verdicts, since then nothing was compared.
     """
     disagreements: list[Disagreement] = []
     statistical: list[Disagreement] = []
@@ -309,31 +320,49 @@ def _cross_check(cases, engines: dict, trials: int,
 
     for iid, instance, case_seed in cases:
         bipartite = bool(bipartite_only) and find_bipartition(instance.graph) is not None
-        # (name, family, verdict, seconds) of each engine that ran
-        verdicts: list[tuple[str, str, str, float]] = []
-        try:
-            for name, (family, needs_bipartite, runner) in engines.items():
-                if needs_bipartite and not bipartite:
-                    continue
-                t0 = time.perf_counter()
+        # (name, family, verdict, seconds) of each engine that answered, and
+        # of each that raised, with the verdict "raised <exception type>"
+        answers: list[tuple[str, str, str, float]] = []
+        crashes: list[tuple[str, str, str, float]] = []
+        exhausted: Optional[BudgetExhausted] = None
+        for name, (family, needs_bipartite, runner) in engines.items():
+            if needs_bipartite and not bipartite:
+                continue
+            t0 = time.perf_counter()
+            try:
                 verdict = runner(instance, case_seed, trials, budget)
-                verdicts.append((name, family, verdict, time.perf_counter() - t0))
-        except BudgetExhausted as exc:
+            except BudgetExhausted as exc:
+                exhausted = exc
+                break
+            except Exception as exc:
+                # a fault found on this instance: reported below with the
+                # instance text, which replays it with its traceback, and
+                # the campaign goes on
+                crashes.append((name, family, f"raised {type(exc).__name__}",
+                                time.perf_counter() - t0))
+                continue
+            answers.append((name, family, verdict, time.perf_counter() - t0))
+        if exhausted is not None and not crashes:
             skipped += 1
-            notes.append(f"instance {iid}: skipped, {exc}\n{format_em_instance(instance)}")
+            notes.append(f"instance {iid}: skipped, {exhausted}\n{format_em_instance(instance)}")
             continue
-        if len({family for _, family, _, _ in verdicts}) == len(verdicts):
+        if len({family for _, family, _, _ in answers}) == len(answers) and not crashes:
             # every family that ran has one verdict, so nothing was compared
             skipped += 1
             notes.append(f"instance {iid}: skipped, not bipartite, so no problem family "
                          f"had two engines to compare\n{format_em_instance(instance)}")
             continue
         run += 1
-        for name, _, _, elapsed in verdicts:
+        for name, _, _, elapsed in answers + crashes:
             seconds[name] += elapsed
 
         found: dict[str, Disagreement] = {}   # kind -> first event of that kind
-        for (na, fa, va, _), (nb, fb, vb, _) in itertools.combinations(verdicts, 2):
+        if crashes:
+            na, fa, va, _ = crashes[0]
+            nb, vb = next(((n_, v_) for n_, f_, v_, _ in answers if f_ == fa), ("", ""))
+            found["hard"] = Disagreement(iid, na, nb, va, vb, "hard",
+                                         format_em_instance(instance), case_seed)
+        for (na, fa, va, _), (nb, fb, vb, _) in itertools.combinations(answers, 2):
             if fa != fb or va == vb:
                 continue
             if va in negative and vb in negative:
@@ -348,10 +377,10 @@ def _cross_check(cases, engines: dict, trials: int,
             statistical.append(found["statistical"])
 
         # Detection bookkeeping against exact ground truth, when present.
-        truth = next((v == "yes" for n_, f_, v, _ in verdicts
+        truth = next((v == "yes" for n_, f_, v, _ in answers
                       if f_ == "em" and v != "probably-no" and n_ not in yes_total), None)
         if truth:
-            for name, family, verdict, _ in verdicts:
+            for name, family, verdict, _ in answers:
                 if name in yes_total and family == "em":
                     yes_total[name] += 1
                     if verdict == "yes":
@@ -398,9 +427,9 @@ def randomized_campaign(
     instance) and cross-check the named engines pairwise within each problem
     family. Bipartite-only engines sit out non-bipartite instances, and an
     instance on which that leaves nothing to compare counts as skipped,
-    not run. Raises ValueError for an unknown or repeated engine name, and
-    when no problem family has two of the named engines, since nothing
-    would be compared.
+    not run. Raises ValueError for a negative count, trials below 1, an
+    unknown or repeated engine name, and when no problem family has two of
+    the named engines, since nothing would be compared.
 
     The detection field reports, for each randomized engine, how many
     brute-force-confirmed yes instances it answered yes on, which is the
@@ -408,6 +437,8 @@ def randomized_campaign(
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if trials < 1:
+        raise ValueError("trials must be positive")
     for i, name in enumerate(engines):
         if name not in ENGINES:
             raise ValueError(f"unknown engine name: {name}")

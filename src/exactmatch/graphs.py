@@ -109,7 +109,10 @@ class WeightedGraph:
 Graph = Union[ColoredGraph, WeightedGraph]
 
 
-@dataclass(frozen=True)
+# The instance types are slotted: a sweep holds one per (coloring, k), and
+# slots save about 40 bytes on each. The graphs keep their __dict__, which
+# cached_property needs.
+@dataclass(frozen=True, slots=True)
 class EmInstance:
     """An exact-matching question: does some perfect matching of the colored
     graph contain exactly k red edges?"""
@@ -118,7 +121,7 @@ class EmInstance:
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TkpmInstance:
     """A top-k perfect matching question: maximize the summed weight of the
     k heaviest edges over all perfect matchings."""

@@ -3,12 +3,14 @@
 The isomorphism-class enumeration is checked against a from-scratch oracle
 at n = 4 (all 64 labeled graphs, naive canonicalization over all 24 vertex
 relabelings) and by exact pairwise-distinctness plus sampled completeness
-at n = 6.
+at n = 6. The class scan and the instance stream are also checked against
+the straightforward versions below, which they must equal exactly.
 """
 
 import itertools
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -85,6 +87,93 @@ def assert_canonical_and_ordered(n, reps, pairs, index):
     assert masks == [naive_canon(n, mask, pairs, index) for mask in masks]
     assert masks == sorted(masks, key=lambda m: (bin(m).count("1"), m))
     assert all(r == tuple(sorted(r)) for r in reps)
+
+
+def reference_graph_classes_with_pm(n):
+    """graph_classes_with_pm's orbit scan with one generator sum per
+    relabeling."""
+    pairs = pairs_of(n)
+    index = {p: i for i, p in enumerate(pairs)}
+    relabel = [[1 << index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+               for perm in itertools.permutations(range(n))]
+    matching = sum(1 << index[(v, v + 1)] for v in range(0, n, 2))
+    seen = bytearray(1 << len(pairs))
+    classes = []
+    for mask in range(1 << len(pairs)):
+        if seen[mask]:
+            continue
+        bits = [i for i in range(len(pairs)) if mask >> i & 1]
+        has_pm = False
+        for bit_of in relabel:
+            image = sum(bit_of[i] for i in bits)
+            seen[image] = 1
+            has_pm = has_pm or image & matching == matching
+        if has_pm:
+            classes.append(tuple(pairs[i] for i in bits))
+    return tuple(sorted(classes, key=len))
+
+
+def reference_sampled_pm_graphs(n, count, rng):
+    matching = [(v, v + 1) for v in range(0, n, 2)]
+    candidates = [p for p in pairs_of(n) if p not in set(matching)]
+    seen = set()
+    out = []
+    attempts = 0
+    while len(out) < count and attempts < count * 20:
+        attempts += 1
+        extra = rng.randint(0, len(candidates))
+        picked = frozenset(rng.sample(candidates, extra))
+        if picked in seen:
+            continue
+        seen.add(picked)
+        out.append(tuple(sorted(matching + list(picked))))
+    return out
+
+
+def reference_exhaustive_instances(max_n, seed=0):
+    """exhaustive_instances with fresh (u, v, colour) triples per coloring."""
+    rng = random.Random(seed)
+    for n in range(2, max_n + 1, 2):
+        if n <= 6:
+            structures = reference_graph_classes_with_pm(n)
+        else:
+            structures = reference_sampled_pm_graphs(n, SWEEP_N8_GRAPHS, rng)
+        for edges in structures:
+            for bits in campaign._colorings(len(edges), rng):
+                colored = tuple((u, v, RED if bits >> i & 1 else BLUE)
+                                for i, (u, v) in enumerate(edges))
+                graph = ColoredGraph(n, colored)
+                for k in range(n // 2 + 1):
+                    yield EmInstance(graph, k)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_classes_equal_the_generator_sum_reference(n):
+    assert graph_classes_with_pm(n) == reference_graph_classes_with_pm(n)
+
+
+@pytest.mark.parametrize("max_n, seed", [(6, 0), (8, 0), (8, 3)])
+def test_exhaustive_instances_equal_the_per_edge_reference(max_n, seed):
+    pairs = itertools.zip_longest(exhaustive_instances(max_n, seed),
+                                  reference_exhaustive_instances(max_n, seed))
+    for i, (got, want) in enumerate(pairs):
+        assert got == want, f"instance {i}"
+
+
+def test_exhaustive_instances_share_triples_and_stay_small():
+    held = list(exhaustive_instances(6))
+    # one structure's colorings pick from its edges' two shared triples
+    assert len({id(e) for inst in held for e in inst.graph.edges}) == 2 * sum(
+        len(edges) for n in (2, 4, 6) for edges in graph_classes_with_pm(n))
+    del held
+    tracemalloc.start()
+    try:
+        held = list(exhaustive_instances(6))
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 136_456
+    assert size < 20 * 2**20, f"{size / 2**20:.1f} MiB"
 
 
 def test_classes_n2():
@@ -456,6 +545,58 @@ def test_randomized_campaign_reports_rigged_hard_disagreements(monkeypatch):
         replayed = parse_em_instance(d.instance_text)
         assert brute_em(replayed) is None
         assert d.seed == template.seed + d.instance_id
+
+
+def test_randomized_campaign_reports_crashing_engines_and_goes_on(monkeypatch):
+    brute = campaign.ENGINES["brute-em"][2]
+
+    def crash_on_odd_k(inst, seed, trials, budget):
+        if inst.k % 2:
+            raise IndexError("planted fault")
+        return brute(inst, seed, trials, budget)
+
+    monkeypatch.setitem(campaign.ENGINES, "crasher", ("em", False, crash_on_odd_k))
+    template = GenSpec(n=4, extra_edges=2, seed=37)
+    report = randomized_campaign(60, template, engines=("crasher", "brute-em"))
+    odd = {i for i in range(60) if gen_instance(replace(template, seed=template.seed + i)).k % 2}
+    assert 0 < len(odd) < 60
+    assert report.instances_run == 60 and report.skipped == 0
+    assert report.agreements == 60 - len(odd)
+    assert {d.instance_id for d in report.disagreements} == odd
+    assert dict(report.engine_seconds).keys() == {"crasher", "brute-em"}
+    for d in report.disagreements:
+        assert (d.kind, d.engine_a, d.engine_b) == ("hard", "crasher", "brute-em")
+        replayed = parse_em_instance(d.instance_text)
+        assert replayed.k % 2
+        assert d.verdict_a == "raised IndexError"
+        assert d.verdict_b == ("yes" if brute_em(replayed) is not None else "no")
+        assert d.seed == template.seed + d.instance_id
+
+
+def test_exhaustive_sweep_reports_crashing_engines(monkeypatch):
+    def crash(inst, budget=None):
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(campaign, "decide_em_via_tkpm", crash)
+    report = exhaustive_sweep(2)
+    stream = list(exhaustive_instances(2))
+    assert report.instances_run == len(report.disagreements) == 4
+    for d in report.disagreements:
+        assert (d.engine_a, d.verdict_a, d.engine_b) == (
+            "via-tkpm", "raised ZeroDivisionError", "brute-em")
+        assert parse_em_instance(d.instance_text) == stream[d.instance_id]
+    # with no engine of the family left to answer, the other side is empty
+    monkeypatch.setattr(campaign, "brute_em", crash)
+    report = exhaustive_sweep(2)
+    assert report.instances_run == len(report.disagreements) == 4
+    assert {(d.engine_a, d.verdict_a, d.engine_b, d.verdict_b)
+            for d in report.disagreements} == {("brute-em", "raised ZeroDivisionError", "", "")}
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_randomized_campaign_rejects_trials_below_one(trials):
+    with pytest.raises(ValueError, match="trials must be positive"):
+        randomized_campaign(5, GenSpec(n=4), trials=trials)
 
 
 def test_randomized_campaign_rigged_statistical_events(monkeypatch):

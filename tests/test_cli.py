@@ -312,6 +312,17 @@ def test_verify_reports_disagreement_with_exit_3(monkeypatch, capsys):
     assert "p em 2 1 1" in out
 
 
+def test_verify_reports_a_crashing_engine_with_exit_3(monkeypatch, capsys):
+    def short_degree_bound(instance, trials, seed):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(campaign, "algebraic_em_decide", short_degree_bound)
+    assert main(["verify", "--random", "--count", "24", "--seed", "5"]) == 3
+    out = capsys.readouterr().out
+    assert out.startswith("instances 24 ")
+    assert "hard: algebraic=raised IndexError brute-em=" in out
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         main([])

@@ -1,6 +1,9 @@
 """Data model tests: validation, matchings, red counts, top-k weights."""
 
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -194,3 +197,23 @@ def test_validate_accepts_all_complete_graphs():
     for n in range(7):
         edges = tuple((u, v, RED) for u, v in itertools.combinations(range(n), 2))
         assert validate(ColoredGraph(n, edges)) is None
+
+
+@pytest.mark.parametrize("instance", [
+    EmInstance(c4_with_red(0, 2), 1),
+    TkpmInstance(WeightedGraph(4, ((0, 1, 5), (1, 2, 0), (2, 3, 2), (0, 3, 5))), 2)])
+def test_instances_are_slotted_values(instance):
+    assert not hasattr(instance, "__dict__")
+    instance.graph.adjacency   # a filled cached property travels with the graph
+    clones = [pickle.loads(pickle.dumps(instance)),
+              pickle.loads(pickle.dumps(instance, pickle.HIGHEST_PROTOCOL)),
+              copy.copy(instance), copy.deepcopy(instance), dataclasses.replace(instance)]
+    for clone in clones:
+        assert type(clone) is type(instance)
+        assert clone == instance and hash(clone) == hash(instance)
+    assert clones[2].graph is instance.graph
+    other = dataclasses.replace(instance, k=instance.k + 1)
+    assert other != instance and other.graph is instance.graph
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        instance.k = 0
+    assert len({instance, clones[0], other}) == 2
