@@ -41,7 +41,7 @@ print(f"k' = {gm.kprime}, threshold = {gm.threshold}")
 # weights (0, 2, 3, 2, 0), blue paths all zeros, forced edges weight 2.
 for i, path in enumerate(gm.path_edges):
     weights = tuple(gadget.graph.weights[e] for e in path)
-    color = "red " if c4.colors[i] == RED else "blue"
+    color = "red " if c4.edges[i][2] == RED else "blue"
     print(f"source edge {i} ({color}) -> gadget edges {path} weights {weights}")
 print("forced edges:", gm.ek_edges)
 

@@ -90,6 +90,8 @@ class CampaignReport:
     detection: tuple[tuple[str, int, int], ...]   # (engine, detected, yes_total)
     seed: int
     skipped: int = 0
+    # the reason for every skipped instance, with its text: budget trips and
+    # bipartite sit-outs that left no problem family two verdicts to compare
     budget_notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:

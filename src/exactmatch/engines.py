@@ -13,8 +13,8 @@ edge lies in every completion of the current partial matching, and every
 vertex below the branch vertex is already covered, so all completions
 share their canonical-key prefix and the next key entry is the branch
 edge: forcing never reorders the output. The search keeps its state on an
-explicit stack, so deep graphs cost no recursion depth, and it counts
-budgets itself.
+explicit stack, so deep graphs cost no recursion depth, and it checks
+the one budget cap, the number of edges it places, itself.
 
 A leaf costs constant work. Next to the chosen edges the search keeps a
 running count per edge class (red and blue for a colored graph, one class
@@ -40,7 +40,7 @@ from .graphs import EmInstance, Graph, Matching, TkpmInstance
 
 
 class BudgetExhausted(RuntimeError):
-    """Enumeration hit a budget cap before finishing; whatever was yielded
+    """Enumeration hit the node cap before finishing; whatever was yielded
     so far may be a strict subset of all perfect matchings."""
 
     def __init__(self, matchings_seen: int, nodes_seen: int):
@@ -53,21 +53,22 @@ class BudgetExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Caps on the enumeration effort. A cap of None means unlimited.
+    """The one cap on the enumeration effort; None means unlimited.
 
-    max_matchings caps the matchings yielded; max_nodes caps the edges the
-    search places, forced or branched, over the whole search (an edge placed
-    again after backtracking counts again).
+    max_nodes caps the edges the search places, forced or branched, over
+    the whole search (an edge placed again after backtracking counts
+    again). Every leaf places n/2 edges, so the cap bounds the matchings
+    visited too; a caller who wants only the first few matchings slices
+    the lazy generator instead.
     """
 
-    max_matchings: Optional[int] = None
     max_nodes: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.max_matchings is not None and self.max_matchings <= 0:
-            raise ValueError("max_matchings must be positive")
-        if self.max_nodes is not None and self.max_nodes <= 0:
-            raise ValueError("max_nodes must be positive")
+        cap = self.max_nodes
+        # type, not isinstance: a bool is an int, but no cap
+        if cap is not None and (type(cap) is not int or cap <= 0):
+            raise ValueError("max_nodes must be a positive integer")
 
 
 def canonical_sort_key(graph: Graph, matching: Matching) -> tuple[int, ...]:
@@ -112,7 +113,6 @@ def _iter_unordered(graph: Graph,
     avail = list(map(len, adj))
     if 0 in avail:
         return
-    max_matchings = budget.max_matchings if budget else None
     # settle checks the node budget with one comparison
     max_nodes = budget.max_nodes if budget and budget.max_nodes is not None else math.inf
     covered = bytearray(n)
@@ -201,8 +201,6 @@ def _iter_unordered(graph: Graph,
     while True:
         # every placed edge covers two vertices, so n/2 of them cover all
         if 2 * len(chosen) == n:
-            if max_matchings is not None and yielded == max_matchings:
-                raise BudgetExhausted(yielded, nodes)
             yielded += 1
             yield chosen, counts
         else:
@@ -246,7 +244,7 @@ def enumerate_perfect_matchings(
     """Yield every perfect matching of the graph exactly once, as sorted
     edge-id tuples, in canonical order.
 
-    Completing normally means the enumeration was exhaustive. When a budget
+    Completing normally means the enumeration was exhaustive. When the node
     cap is hit, BudgetExhausted is raised mid-iteration, so a consumer can
     always tell "complete" apart from "truncated".
     """

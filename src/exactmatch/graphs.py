@@ -36,17 +36,9 @@ class ColoredGraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
 
-    @cached_property
-    def colors(self) -> tuple[str, ...]:
-        return tuple(e[2] for e in self.edges)
-
-    @cached_property
-    def red_edge_ids(self) -> frozenset[int]:
-        return frozenset(i for i, c in enumerate(self.edge_classes) if c)
-
     @property
     def num_red(self) -> int:
-        return len(self.red_edge_ids)
+        return sum(self.edge_classes)
 
     # class 1 is red and class 0 blue, so counts[1] is the red count
     num_classes = 2
@@ -56,7 +48,8 @@ class ColoredGraph:
         """The one reading of the colors: RED is 1, BLUE is 0, and any
         other color raises ValueError naming its edge."""
         classes = []
-        for i, c in enumerate(self.colors):
+        for i, e in enumerate(self.edges):
+            c = e[2]
             if c == RED:
                 classes.append(1)
             elif c == BLUE:

@@ -52,14 +52,13 @@ class GadgetMap:
     """Bookkeeping produced by gadgetize, enabling exact lift and project.
 
     path_edges[i] holds the five gadget edge ids of source edge i's path in
-    path order (p1..p5, p3 is the middle); path_vertices[i] its four
-    subdivision vertices. ek_edges are the forced-edge ids.
+    path order (p1..p5, p3 is the middle); its four subdivision vertices
+    are n+4i..n+4i+3 by construction. ek_edges are the forced-edge ids.
     """
 
     source: EmInstance
     gadget: TkpmInstance
     path_edges: tuple[tuple[int, int, int, int, int], ...]
-    path_vertices: tuple[tuple[int, int, int, int], ...]
     ek_edges: tuple[int, ...]
     kprime: int
     threshold: int
@@ -81,7 +80,6 @@ def gadgetize(instance: EmInstance) -> tuple[TkpmInstance, GadgetMap]:
 
     edges: list[tuple[int, int, int]] = []
     path_edges = []
-    path_vertices = []
     for i, ((u, v, _), red) in enumerate(zip(graph.edges, graph.edge_classes)):
         a = n + 4 * i
         w = _RED_PATH_WEIGHTS if red else _BLUE_PATH_WEIGHTS
@@ -92,7 +90,6 @@ def gadgetize(instance: EmInstance) -> tuple[TkpmInstance, GadgetMap]:
         edges.append((a + 2, a + 3, w[3]))
         edges.append((v, a + 3, w[4]))
         path_edges.append((base, base + 1, base + 2, base + 3, base + 4))
-        path_vertices.append((a, a + 1, a + 2, a + 3))
 
     ek_edges = []
     first_forced_vertex = n + 4 * m
@@ -108,7 +105,6 @@ def gadgetize(instance: EmInstance) -> tuple[TkpmInstance, GadgetMap]:
         source=instance,
         gadget=gadget,
         path_edges=tuple(path_edges),
-        path_vertices=tuple(path_vertices),
         ek_edges=tuple(ek_edges),
         kprime=kprime,
         threshold=threshold,
@@ -137,14 +133,15 @@ def lift_matching(matching: Matching, gadget_map: GadgetMap) -> Matching:
     return tuple(sorted(lifted))
 
 
-def project_matching(matching: Matching, gadget_map: GadgetMap, strict: bool = False) -> Matching:
+def project_matching(matching: Matching, gadget_map: GadgetMap) -> Matching:
     """Map a perfect matching of the gadget graph back to the source graph:
     source edge i is matched exactly when the middle edge of its path is.
 
-    With strict=True, every path must show one of the two legal patterns
-    ({p1, p3, p5} or {p2, p4}) and all forced edges must be present;
-    anything else raises ValueError. Raises ValueError when the input is
-    not a perfect matching of the gadget graph.
+    The projection always checks: every path must show one of the two
+    legal patterns ({p1, p3, p5} or {p2, p4}) and all forced edges must be
+    present. Every perfect matching of a gadget built by gadgetize passes,
+    so only a doctored map fails; that, or an input that is not a perfect
+    matching of the gadget graph, raises ValueError.
     """
     if not is_perfect_matching(gadget_map.gadget.graph, matching):
         raise ValueError("not a perfect matching of the gadget graph")
@@ -153,13 +150,14 @@ def project_matching(matching: Matching, gadget_map: GadgetMap, strict: bool = F
     for i, (p1, p2, p3, p4, p5) in enumerate(gadget_map.path_edges):
         if p3 in in_matching:
             projected.append(i)
-            if strict and ((p1 not in in_matching) or (p5 not in in_matching)
-                           or (p2 in in_matching) or (p4 in in_matching)):
-                raise ValueError(f"corrupted path pattern at source edge {i}")
-        elif strict and ((p2 not in in_matching) or (p4 not in in_matching)
-                         or (p1 in in_matching) or (p5 in in_matching)):
+            legal = (p1 in in_matching and p5 in in_matching
+                     and p2 not in in_matching and p4 not in in_matching)
+        else:
+            legal = (p2 in in_matching and p4 in in_matching
+                     and p1 not in in_matching and p5 not in in_matching)
+        if not legal:
             raise ValueError(f"corrupted path pattern at source edge {i}")
-    if strict and any(e not in in_matching for e in gadget_map.ek_edges):
+    if not in_matching.issuperset(gadget_map.ek_edges):
         raise ValueError("forced edge missing from gadget matching")
     return tuple(projected)
 

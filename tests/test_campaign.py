@@ -295,7 +295,7 @@ def test_exhaustive_instances_cap_above_2_to_the_m_yields_every_coloring():
         structure = [(u, v) for u, v, _ in first.graph.edges]
         assert all([(u, v) for u, v, _ in inst.graph.edges] == structure for inst in rest)
         assert [inst.k for inst in [first] + rest] == [0, 1, 2, 3] * colorings
-        assert len({inst.graph.colors for inst in [first] + rest}) == colorings
+        assert len({inst.graph.edge_classes for inst in [first] + rest}) == colorings
 
 
 def test_exhaustive_instances_n8_extends_n6_with_sampled_structures():
@@ -372,22 +372,23 @@ def test_exhaustive_sweep_budget_skips_are_recorded():
 
 
 def test_exhaustive_sweep_roomy_budget_completes():
-    roomy = EnumerationBudget(max_matchings=10 ** 6, max_nodes=10 ** 6)
+    roomy = EnumerationBudget(max_nodes=10 ** 6)
     report = exhaustive_sweep(2, budget=roomy)
     assert report.instances_run == 4 and report.skipped == 0
 
 
 def test_exhaustive_sweep_roomy_budget_matches_unbudgeted():
-    roomy = EnumerationBudget(max_matchings=10 ** 6, max_nodes=10 ** 6)
+    roomy = EnumerationBudget(max_nodes=10 ** 6)
     budgeted, plain = exhaustive_sweep(4, budget=roomy), exhaustive_sweep(4)
     assert replace(budgeted, engine_seconds=()) == replace(plain, engine_seconds=())
 
 
 def test_budgeted_gadget_decision_stops_at_first_hit():
     # both perfect matchings of the all-blue C4 reach the threshold at
-    # k = 0, so a one-matching budget suffices
+    # k = 0: the first hit places 10 gadget edges, the full gadget
+    # enumeration 20, so a 10-edge cap suffices
     c4 = ColoredGraph(4, ((0, 1, BLUE), (1, 2, BLUE), (2, 3, BLUE), (0, 3, BLUE)))
-    assert decide_em_via_tkpm(EmInstance(c4, 0), EnumerationBudget(max_matchings=1))
+    assert decide_em_via_tkpm(EmInstance(c4, 0), EnumerationBudget(max_nodes=10))
 
 
 def test_exhaustive_sweep_reports_replayable_hard_disagreements(monkeypatch):

@@ -163,22 +163,23 @@ def test_canonical_key_ranks_reversed_edges_by_lower_endpoint():
 
 def test_budgeted_engine_yields_same_sequence():
     rng = random.Random(5)
-    roomy = EnumerationBudget(max_matchings=10 ** 9, max_nodes=10 ** 9)
+    roomy = EnumerationBudget(max_nodes=10 ** 9)
     for _ in range(200):
         g = random_colored_graph(rng, n_max=8)
         assert list(enumerate_perfect_matchings(g, roomy)) == \
             list(enumerate_perfect_matchings(g))
 
 
-def test_budget_max_matchings():
-    it = enumerate_perfect_matchings(C4, EnumerationBudget(max_matchings=1))
-    assert next(it) == (0, 2)
-    with pytest.raises(BudgetExhausted) as info:
-        next(it)
-    assert info.value.matchings_seen == 1
-    # a cap equal to the matching count completes without tripping
-    both = list(enumerate_perfect_matchings(C4, EnumerationBudget(max_matchings=2)))
-    assert both == [(0, 2), (1, 3)]
+def test_budget_max_nodes_boundary():
+    # a cap equal to the edges a full enumeration places completes, and
+    # one less trips on the last placement
+    for graph, placed, matchings in ((C4, 4, 2), (complete_graph(6), 35, 15)):
+        full = list(enumerate_perfect_matchings(graph, EnumerationBudget(max_nodes=placed)))
+        assert full == list(enumerate_perfect_matchings(graph))
+        assert len(full) == matchings
+        with pytest.raises(BudgetExhausted) as info:
+            list(enumerate_perfect_matchings(graph, EnumerationBudget(max_nodes=placed - 1)))
+        assert info.value.nodes_seen == placed
 
 
 def test_budget_max_nodes():
@@ -195,15 +196,14 @@ def budget_outcome(graph, budget):
 
 
 @pytest.mark.parametrize("which, expected", [
-    (1, [(1, 8), (20, 61), (5, 21)]),
-    (2, [(1, 8), (16, 61), (5, 21)]),
-    (3, [(1, 8), (18, 61), (5, 21)]),
-    ("gadget", [(0, 8), (2, 61), (5, 200)]),
+    (1, [(1, 8), (20, 61)]),
+    (2, [(1, 8), (16, 61)]),
+    (3, [(1, 8), (18, 61)]),
+    ("gadget", [(0, 8), (2, 61)]),
 ], ids=["seed 1", "seed 2", "seed 3", "gadget"])
 def test_budget_counts_are_pinned(which, expected):
     # the search's placement order fixes where a budget trips
-    budgets = (EnumerationBudget(max_nodes=7), EnumerationBudget(max_nodes=60),
-               EnumerationBudget(max_matchings=5))
+    budgets = (EnumerationBudget(max_nodes=7), EnumerationBudget(max_nodes=60))
     if which == "gadget":
         graph = gadgetize(gen_instance(GenSpec(n=8, extra_edges=12, seed=4)))[0].graph
     else:
@@ -213,10 +213,16 @@ def test_budget_counts_are_pinned(which, expected):
 
 def test_budget_validation():
     with pytest.raises(ValueError):
-        EnumerationBudget(max_matchings=0)
+        EnumerationBudget(max_nodes=0)
     with pytest.raises(ValueError):
         EnumerationBudget(max_nodes=-1)
     EnumerationBudget()  # unlimited is fine
+
+
+@pytest.mark.parametrize("cap", [True, False, 2.0, "3"])
+def test_budget_rejects_a_bool_or_non_integer_cap(cap):
+    with pytest.raises(ValueError, match="positive integer"):
+        EnumerationBudget(max_nodes=cap)
 
 
 def test_has_perfect_matching_examples():
@@ -574,17 +580,20 @@ def test_negative_k_without_a_perfect_matching_ranks_nothing():
 
 
 def test_brute_em_and_tkpm_reaches_take_a_budget():
-    roomy = EnumerationBudget(max_matchings=10 ** 6, max_nodes=10 ** 6)
+    roomy = EnumerationBudget(max_nodes=10 ** 6)
+    # both calls below that answer no enumerate all of K6, placing 35
+    # edges, so a cap of 34 trips them
+    tight = EnumerationBudget(max_nodes=34)
     blue = complete_graph(6)
     weighted = WeightedGraph(6, tuple((u, v, u + v) for u, v, _ in blue.edges))
     assert brute_em(EmInstance(blue, 0), roomy) == brute_em(EmInstance(blue, 0)) == (0, 9, 14)
     assert brute_em(EmInstance(blue, 1), roomy) is None
     with pytest.raises(BudgetExhausted):
-        brute_em(EmInstance(blue, 1), EnumerationBudget(max_matchings=14))
+        brute_em(EmInstance(blue, 1), tight)
     assert tkpm_reaches(TkpmInstance(weighted, 1), 9, roomy)
     assert not tkpm_reaches(TkpmInstance(weighted, 1), 10, roomy)
     with pytest.raises(BudgetExhausted):
-        tkpm_reaches(TkpmInstance(weighted, 1), 10, EnumerationBudget(max_matchings=14))
+        tkpm_reaches(TkpmInstance(weighted, 1), 10, tight)
 
 
 def path_and_square_chain(squares, path_vertices, rng):

@@ -167,10 +167,9 @@ def test_adjacency_ascending_edge_ids():
             assert {u, w} == {v, other}
 
 
-def test_red_edge_ids_and_num_red():
+def test_num_red_sums_edge_classes():
     g = c4_with_red(1, 3)
-    assert g.red_edge_ids == frozenset({1, 3})
-    assert g.num_red == 2
+    assert g.num_red == sum(g.edge_classes) == 2
 
 
 def test_edge_classes():
