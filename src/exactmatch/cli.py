@@ -10,13 +10,23 @@ algebraic.yes_and_error. It prints "yes" and the witness when the engine
 returns one ("value" and the witness for tkpm), or "no", followed by
 "error-bound" after an algebraic "no".
 
+reduce and solve run with the cyclic garbage collector paused, and restore
+its previous state on the way out. On a large instance they build hundreds
+of thousands of edge and adjacency tuples, frozen dataclasses and an
+explicit search stack, none of which forms a reference cycle, so
+refcounting frees all of it, while the collector's passes over those young
+objects took about 13% of the time of the deep-sparse benchmark's reduce and
+solve calls. gen, verify and the library leave the collector alone.
+
 Exit codes: 0 yes/ok, 1 no, 2 usage or input error, 3 disagreement found.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import gc
 import sys
 from pathlib import Path
 
@@ -51,6 +61,19 @@ _VERIFY_SIZES = ((2, 0), (4, 2), (6, 5), (8, 9))
 _ENGINE_NAMES = tuple(dict.fromkeys(engine for _, engine in SOLVERS))
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Disable the cyclic garbage collector for the body, then restore the
+    state it found; as a decorator, for each call."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _read_instance(path: str, parse):
     """Parse an instance file and validate it; a ValueError carries the
     first violated invariant to main, which exits 2."""
@@ -72,6 +95,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+@_collector_paused()
 def _cmd_reduce(args: argparse.Namespace) -> int:
     instance = _read_instance(args.infile, parse_em_instance)
     tkpm, gadget_map = gadgetize(instance)
@@ -82,6 +106,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
+@_collector_paused()
 def _cmd_solve(args: argparse.Namespace) -> int:
     engine = args.engine or "brute"
     row = SOLVERS.get((args.problem, engine))

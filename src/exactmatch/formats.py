@@ -14,6 +14,13 @@ ids are 0-based. Edge endpoints may appear in either order in a
 file; they are normalized to u < v on parse, which never changes edge ids.
 A matching serializes to a single line "m <count> <edge-id>...".
 
+Text in the exact layout that format_em_instance and format_tkpm_instance
+write (the header line, then one "e <digits> <digits> <r|b or digits>\n"
+line per edge and nothing else) is read in one pass over the whole body;
+any other text is read line by line. Both paths give the same instance,
+and the line reader is the only source of error messages, so an error
+reads the same either way.
+
 Parsers raise InstanceFormatError with the offending line number for
 malformed headers, out-of-range ids, and record-count mismatches. Semantic
 invariants (self-loops, parallel edges, k ranges) are left to
@@ -23,8 +30,10 @@ strict to be.
 
 from __future__ import annotations
 
+import re
 from itertools import chain
-from typing import Iterator
+from operator import lt
+from typing import Iterator, Optional
 
 from .graphs import BLUE, RED, ColoredGraph, EmInstance, Matching, TkpmInstance, WeightedGraph
 
@@ -96,28 +105,60 @@ def _parse_edge_records(lines, n: int, m: int, problem: str):
     return edges
 
 
-def parse_em_instance(text: str) -> EmInstance:
-    """Parse the 'p em' text format into an EmInstance."""
+# the whole text of a file as the formatters write it
+_CANONICAL = {
+    "em": re.compile(r"p em [0-9]+ [0-9]+ [0-9]+\n(?:e [0-9]+ [0-9]+ [rb]\n)*"),
+    "tkpm": re.compile(r"p tkpm [0-9]+ [0-9]+ [0-9]+\n(?:e [0-9]+ [0-9]+ [0-9]+\n)*"),
+}
+
+
+def _parse_canonical(text: str, problem: str) -> Optional[tuple[int, tuple, int]]:
+    """(n, edges, k) of canonical text whose records all pass the line
+    reader's checks, else None so that the line reader runs and reports."""
+    if _CANONICAL[problem].fullmatch(text) is None:
+        return None
+    header, _, body = text.partition("\n")
+    n, m, k = _parse_header(1, header, problem)
+    tokens = body.split()
+    if len(tokens) != 4 * m:
+        return None
+    try:
+        us = list(map(int, tokens[1::4]))
+        vs = list(map(int, tokens[2::4]))
+        payloads = tokens[3::4] if problem == "em" else list(map(int, tokens[3::4]))
+    except ValueError:   # more digits than int() converts
+        return None
+    if not all(map(lt, us, vs)):   # normalize to u < v
+        us, vs = list(map(min, us, vs)), list(map(max, us, vs))
+    if m and max(vs) >= n:
+        return None
+    return n, tuple(zip(us, vs, payloads)), k
+
+
+def _parse_instance(text: str, problem: str) -> tuple[int, tuple, int]:
+    canonical = _parse_canonical(text, problem)
+    if canonical is not None:
+        return canonical
     lines = _significant_lines(text)
     try:
         lineno, line = next(lines)
     except StopIteration:
-        raise InstanceFormatError("line 1: empty input, expected a 'p em' header") from None
-    n, m, k = _parse_header(lineno, line, "em")
-    edges = _parse_edge_records(lines, n, m, "em")
-    return EmInstance(ColoredGraph(n, tuple(edges)), k)
+        raise InstanceFormatError(
+            f"line 1: empty input, expected a 'p {problem}' header") from None
+    n, m, k = _parse_header(lineno, line, problem)
+    return n, tuple(_parse_edge_records(lines, n, m, problem)), k
+
+
+def parse_em_instance(text: str) -> EmInstance:
+    """Parse the 'p em' text format into an EmInstance."""
+    n, edges, k = _parse_instance(text, "em")
+    return EmInstance(ColoredGraph(n, edges), k)
 
 
 def parse_tkpm_instance(text: str) -> TkpmInstance:
     """Parse the 'p tkpm' text format into a TkpmInstance."""
-    lines = _significant_lines(text)
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise InstanceFormatError("line 1: empty input, expected a 'p tkpm' header") from None
-    n, m, k = _parse_header(lineno, line, "tkpm")
-    edges = _parse_edge_records(lines, n, m, "tkpm")
-    return TkpmInstance(WeightedGraph(n, tuple(edges)), k)
+    n, edges, k = _parse_instance(text, "tkpm")
+    return TkpmInstance(WeightedGraph(n, edges), k)
 
 
 def _format_instance(problem: str, graph, k: int) -> str:

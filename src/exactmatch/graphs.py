@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import lt
 from typing import Iterable, Optional, Union
 
 RED = "r"
@@ -48,14 +50,17 @@ class ColoredGraph:
         """The one reading of the colors: RED is 1, BLUE is 0, and any
         other color raises ValueError naming its edge."""
         classes = []
-        for i, e in enumerate(self.edges):
-            c = e[2]
-            if c == RED:
-                classes.append(1)
-            elif c == BLUE:
-                classes.append(0)
-            else:
-                raise ValueError(f"unknown color {c!r} at edge {i}")
+        try:
+            for i, e in enumerate(self.edges):
+                c = e[2]
+                if c == RED:
+                    classes.append(1)
+                elif c == BLUE:
+                    classes.append(0)
+                else:
+                    raise ValueError(f"unknown color {c!r} at edge {i}")
+        except IndexError:
+            raise ValueError(f"edge {i} is not a (u, v, color) triple") from None
         return tuple(classes)
 
     @cached_property
@@ -77,7 +82,11 @@ class WeightedGraph:
 
     @cached_property
     def weights(self) -> tuple[int, ...]:
-        return tuple([e[2] for e in self.edges])
+        try:
+            return tuple([e[2] for e in self.edges])
+        except IndexError:
+            i = next(i for i, e in enumerate(self.edges) if len(e) < 3)
+            raise ValueError(f"edge {i} is not a (u, v, weight) triple") from None
 
     @cached_property
     def class_weights(self) -> tuple[int, ...]:
@@ -132,16 +141,38 @@ def _build_adjacency(n, edges):
     return tuple(map(tuple, adj))
 
 
+def _well_formed(graph: Graph) -> bool:
+    """validate's edge checks as whole-tuple passes over the columns: True
+    only when the per-edge loop would find nothing. Exact types make it
+    stricter than the loop (a bool endpoint fails here), never looser."""
+    edges = graph.edges
+    if not edges:
+        return True
+    if set(map(len, edges)) != {3}:
+        return False
+    us, vs, payloads = zip(*edges)
+    if isinstance(graph, ColoredGraph):
+        payloads_ok = set(map(type, payloads)) == {str} and set(payloads) <= {RED, BLUE}
+    else:
+        payloads_ok = set(map(type, payloads)) == {int} and min(payloads) >= 0
+    return (payloads_ok and set(map(type, chain(us, vs))) == {int}
+            and all(map(lt, us, vs)) and min(us) >= 0 and max(vs) < graph.n
+            and len(set(zip(us, vs))) == len(edges))
+
+
 def validate(graph: Graph) -> Optional[str]:
     """Check all structural invariants of a graph.
 
     Returns None when the graph is well formed, otherwise a message naming
     the first violated invariant and the offending edge. Callers decide
-    whether a violation is fatal.
+    whether a violation is fatal. A bulk check settles a well-formed graph;
+    any other runs the per-edge loop, which alone words the message.
     """
     n = graph.n
     if n < 0:
         return "negative vertex count"
+    if _well_formed(graph):
+        return None
     is_colored = isinstance(graph, ColoredGraph)
     seen: dict[tuple[int, int], int] = {}
     for i, e in enumerate(graph.edges):

@@ -1,5 +1,6 @@
 """Command-line interface tests, driven in-process through main(argv)."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -13,7 +14,7 @@ from exactmatch.campaign import CampaignReport, Disagreement
 from exactmatch.cli import main
 from exactmatch.formats import format_em_instance, parse_em_instance, parse_tkpm_instance
 from exactmatch.generator import GenSpec, gen_instance
-from exactmatch.graphs import is_perfect_matching, red_count, top_k_weight
+from exactmatch.graphs import is_perfect_matching, red_count, top_k_weight, validate_instance
 
 K2_RED_K1 = "p em 2 1 1\ne 0 1 r\n"
 K2_RED_K0 = "p em 2 1 0\ne 0 1 r\n"
@@ -355,6 +356,36 @@ def test_repeated_calls_in_one_process_keep_no_state(tmp_path, monkeypatch, caps
     capsys.readouterr()
     assert main(["solve", "em", "--in", src]) == 0
     assert capsys.readouterr().out == "yes\nm 1 0\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+def test_reduce_and_solve_pause_the_collector_and_restore_it(tmp_path, monkeypatch, capsys,
+                                                             enabled):
+    yes = write(tmp_path, "yes.em", K2_RED_K1)
+    no = write(tmp_path, "no.em", K2_RED_K0)
+    bad = write(tmp_path, "bad.em", "p em 2 1 0\ne 0 1\n")
+    out, gmap = str(tmp_path / "g.tkpm"), str(tmp_path / "g.map")
+    seen = []
+
+    def spy(instance):
+        seen.append(gc.isenabled())
+        return validate_instance(instance)
+
+    monkeypatch.setattr(cli, "validate_instance", spy)
+    runs = [(["reduce", "--in", yes, "--out", out, "--map", gmap], 0),
+            (["solve", "em", "--in", yes], 0),
+            (["solve", "em", "--in", no], 1),
+            (["solve", "em", "--in", bad], 2)]
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv, code in runs:
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False, False, False]   # the bad file stops before validation
+    assert "line 2: malformed edge record" in capsys.readouterr().err
 
 
 def test_console_entry_matches_main():

@@ -3,11 +3,13 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
 from exactmatch.formats import (
     InstanceFormatError,
+    _parse_canonical,
     format_em_instance,
     format_matching,
     format_tkpm_instance,
@@ -224,3 +226,94 @@ def test_format_rejects_an_edge_that_is_not_a_triple(edges):
     # the field count of the edges together would fit a mixed-arity list
     with pytest.raises(ValueError, match="triple"):
         format_em_instance(EmInstance(ColoredGraph(4, edges), 0))
+
+
+# Text in the formatters' layout is read in bulk, anything else line by
+# line; "# x\n" in front forces the line reader onto the same records.
+
+def canonical_text(rng, problem, m_max=40):
+    """Seeded text in the formatters' layout, but with endpoints in either
+    order and leading zeros on some numbers."""
+    def number(x):
+        return "0" * rng.choice((0, 0, 0, 1, 3)) + str(x)
+    n = rng.randint(0, 30)
+    pairs = rng.sample(list(itertools.combinations(range(n), 2)),
+                       rng.randint(0, min(m_max, n * (n - 1) // 2)))
+    lines = [f"p {problem} {n} {len(pairs)} {rng.randint(0, n // 2)}\n"]
+    for pair in pairs:
+        u, v = rng.sample(pair, 2)
+        payload = rng.choice((RED, BLUE)) if problem == "em" else number(rng.randint(0, 10 ** 6))
+        lines.append(f"e {number(u)} {number(v)} {payload}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("problem, parse", [
+    ("em", parse_em_instance), ("tkpm", parse_tkpm_instance)], ids=["em", "tkpm"])
+def test_bulk_and_line_readers_agree_on_canonical_text(problem, parse):
+    rng = random.Random(18)
+    texts = [f"p {problem} 0 0 0\n", f"p {problem} 6 0 3\n"]
+    texts += [canonical_text(rng, problem, m_max=rng.choice((0, 40))) for _ in range(200)]
+    assert any(re.search(r" 0[0-9]", t) for t in texts)   # leading zeros were drawn
+    for text in texts:
+        assert _parse_canonical(text, problem) is not None
+        assert _parse_canonical("# x\n" + text, problem) is None
+        inst = parse(text)
+        assert inst == parse("# x\n" + text)
+        assert all(u < v for u, v, _ in inst.graph.edges)
+
+
+@pytest.mark.parametrize("text", [
+    "p em 4 2 0\ne 0 1 r\ne 2 3 b",
+    "p em 4 2 0\r\ne 0 1 r\r\ne 2 3 b\r\n",
+    "p em 4 2 0\ne\t0\t1\tr\ne 2 3 b\n",
+], ids=["no final newline", "crlf", "tabs"])
+def test_other_layouts_are_read_by_line(text):
+    assert _parse_canonical(text, "em") is None
+    assert parse_em_instance(text) == parse_em_instance("p em 4 2 0\ne 0 1 r\ne 2 3 b\n")
+
+
+DIGITS_5000 = "0" * 4999 + "3"
+
+
+def _shift_line(message):
+    """The message for the same text one line further down."""
+    if not message.startswith("line "):
+        return message
+    number, rest = message[5:].split(":", 1)
+    return f"line {int(number) + 1}:{rest}"
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_em_instance, "p em 4 2 0\ne 0 1 r\ne 2 " + DIGITS_5000 + " b\n",
+     f"line 3: vertex id is not an integer: {DIGITS_5000!r}"),
+    (parse_tkpm_instance, "p tkpm 4 2 0\ne 0 1 7\ne 2 3 " + DIGITS_5000 + "\n",
+     f"line 3: weight is not an integer: {DIGITS_5000!r}"),
+    (parse_em_instance, "p em " + DIGITS_5000 + " 1 0\ne 0 1 r\n",
+     f"line 1: vertex count is not an integer: {DIGITS_5000!r}"),
+    (parse_em_instance, "p em 4 2 0\ne 0 1\nr\ne 2 3 b\n",
+     "line 2: malformed edge record, expected 'e <u> <v> <r|b>'"),
+    (parse_em_instance, "p em 4 2 0\ne 0 1 r\ne 2 4 b",
+     "line 3: vertex id out of range 0..3"),
+    (parse_em_instance, "p em 4 2 0\r\ne 0 1 r\r\ne 2 4 b\r\n",
+     "line 3: vertex id out of range 0..3"),
+    (parse_em_instance, "p em 4 2 0\ne\t0\t1\tr\ne 2 4 b\n",
+     "line 3: vertex id out of range 0..3"),
+    (parse_em_instance, "p em 4 2 0\ne 0 1 r\ne 2 4 b\n",
+     "line 3: vertex id out of range 0..3"),
+    (parse_tkpm_instance, "p tkpm 4 2 0\ne 0 1 3\ne 4 2 0\n",
+     "line 3: vertex id out of range 0..3"),
+    (parse_em_instance, "p em 4 2 0\ne 0 1 r\n",
+     "unexpected end of input: expected 2 edge records, found 1"),
+    (parse_em_instance, "p em 4 1 0\ne 0 1 r\ne 2 3 b\n",
+     "line 3: unexpected record after 1 edges"),
+], ids=["5000-digit id", "5000-digit weight", "5000-digit count", "split record",
+        "no final newline", "crlf", "tabs", "id out of range", "tkpm id out of range",
+        "too few records", "too many records"])
+def test_errors_read_the_same_on_either_path(parse, text, message):
+    # the line reader words every error, whichever path the text starts on
+    for variant in (text, "# x\n" + text):
+        with pytest.raises(InstanceFormatError) as caught:
+            parse(variant)
+        expected = message if variant is text else _shift_line(message)
+        assert str(caught.value) == expected
+

@@ -15,6 +15,7 @@ from exactmatch.graphs import (
     EmInstance,
     TkpmInstance,
     WeightedGraph,
+    _well_formed,
     as_matching,
     is_perfect_matching,
     red_count,
@@ -216,3 +217,65 @@ def test_instances_are_slotted_values(instance):
     with pytest.raises(dataclasses.FrozenInstanceError):
         instance.k = 0
     assert len({instance, clones[0], other}) == 2
+
+
+# (name, graph types it applies to, edge builder, message); the builder
+# replaces edge i of a simple graph, edges holds the others
+DEFECTS = [
+    ("pair", (ColoredGraph, WeightedGraph), lambda e, i, n, edges: e[:2],
+     "edge {i} is not a (u, v, {payload}) triple"),
+    ("non-int endpoint", (ColoredGraph, WeightedGraph),
+     lambda e, i, n, edges: (float(e[0]), e[1], e[2]), "non-integer endpoint at edge {i}"),
+    ("self-loop", (ColoredGraph, WeightedGraph),
+     lambda e, i, n, edges: (e[1], e[1], e[2]), "self-loop at edge {i}"),
+    ("u > v", (ColoredGraph, WeightedGraph),
+     lambda e, i, n, edges: (e[1], e[0], e[2]), "endpoints out of order at edge {i} (expected u < v)"),
+    ("id out of range", (ColoredGraph, WeightedGraph),
+     lambda e, i, n, edges: (e[0], n, e[2]), "vertex id out of range at edge {i}"),
+    ("parallel edge", (ColoredGraph, WeightedGraph),
+     lambda e, i, n, edges: edges[0][:2] + e[2:], "parallel edge at edge {i} (duplicate of edge 0)"),
+    ("unknown colour", (ColoredGraph,),
+     lambda e, i, n, edges: (e[0], e[1], "g"), "unknown color 'g' at edge {i}"),
+    ("negative weight", (WeightedGraph,),
+     lambda e, i, n, edges: (e[0], e[1], -1), "negative or non-integer weight at edge {i}"),
+]
+
+
+@pytest.mark.parametrize("graph_type, plant, message", [
+    (graph_type, plant, message) for _, types, plant, message in DEFECTS for graph_type in types
+], ids=[f"{t.__name__}: {name}" for name, types, _, _ in DEFECTS for t in types])
+def test_validate_names_each_planted_defect(graph_type, plant, message):
+    rng = random.Random(18)
+    payload = "color" if graph_type is ColoredGraph else "weight"
+    for _ in range(50):
+        n = rng.randint(3, 12)
+        pairs = rng.sample(list(itertools.combinations(range(n), 2)), rng.randint(2, n))
+        edges = [(u, v, rng.choice((RED, BLUE)) if graph_type is ColoredGraph
+                  else rng.randint(0, 9)) for u, v in pairs]
+        clean = graph_type(n, tuple(edges))
+        assert _well_formed(clean) and validate(clean) is None
+        i = rng.randrange(1, len(edges))
+        edges[i] = plant(edges[i], i, n, edges)
+        broken = graph_type(n, tuple(edges))
+        assert not _well_formed(broken)
+        assert validate(broken) == message.format(i=i, payload=payload)
+
+
+def test_bulk_check_leaves_a_bool_endpoint_to_the_loop():
+    # a bool is an int to the loop; the bulk check refuses it and the loop decides
+    g = ColoredGraph(2, ((False, True, RED),))
+    assert not _well_formed(g) and validate(g) is None
+    assert _well_formed(ColoredGraph(0, ())) and validate(WeightedGraph(0, ())) is None
+
+
+@pytest.mark.parametrize("graph, attr, message", [
+    (ColoredGraph(2, ((0, 1),)), "edge_classes", "edge 0 is not a (u, v, color) triple"),
+    (ColoredGraph(4, ((0, 1, RED), (2, 3))), "num_red", "edge 1 is not a (u, v, color) triple"),
+    (WeightedGraph(2, ((0, 1),)), "class_weights", "edge 0 is not a (u, v, weight) triple"),
+    (WeightedGraph(4, ((0, 1, 2), (2, 3))), "edge_classes", "edge 1 is not a (u, v, weight) triple"),
+], ids=["colored classes", "colored num_red", "weighted class_weights", "weighted classes"])
+def test_reading_a_short_edge_names_it(graph, attr, message):
+    assert validate(graph) == message
+    with pytest.raises(ValueError) as caught:
+        getattr(graph, attr)
+    assert str(caught.value) == message
