@@ -187,13 +187,17 @@ def format_matching(matching: Matching) -> str:
 
 
 def parse_matching(line: str, lineno: int = 1) -> Matching:
-    """Parse one 'm <count> <edge-id>...' record into sorted edge ids; an id
-    listed twice is an error."""
+    """Parse one 'm <count> <edge-id>...' record into sorted edge ids; a
+    negative count or id, or an id listed twice, is an error."""
     fields = line.split()
     if len(fields) < 2 or fields[0] != "m":
         raise InstanceFormatError(f"line {lineno}: malformed matching, expected 'm <count> <ids>'")
     count = _parse_int(fields[1], lineno, "matching size")
+    if count < 0:
+        raise InstanceFormatError(f"line {lineno}: matching size must be non-negative")
     ids = [_parse_int(t, lineno, "edge id") for t in fields[2:]]
+    if ids and min(ids) < 0:
+        raise InstanceFormatError(f"line {lineno}: edge id must be non-negative")
     if count != len(ids):
         raise InstanceFormatError(
             f"line {lineno}: matching declares {count} edges but lists {len(ids)}")

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import lt
 from typing import Iterable, Optional, Union
 
 RED = "r"
@@ -141,70 +139,54 @@ def _build_adjacency(n, edges):
     return tuple(map(tuple, adj))
 
 
-def _well_formed(graph: Graph) -> bool:
-    """validate's edge checks as whole-tuple passes over the columns: True
-    only when the per-edge loop would find nothing. Exact types make it
-    stricter than the loop (a bool endpoint fails here), never looser."""
-    edges = graph.edges
-    if not edges:
-        return True
-    if set(map(len, edges)) != {3}:
-        return False
-    us, vs, payloads = zip(*edges)
-    if isinstance(graph, ColoredGraph):
-        payloads_ok = set(map(type, payloads)) == {str} and set(payloads) <= {RED, BLUE}
-    else:
-        payloads_ok = set(map(type, payloads)) == {int} and min(payloads) >= 0
-    return (payloads_ok and set(map(type, chain(us, vs))) == {int}
-            and all(map(lt, us, vs)) and min(us) >= 0 and max(vs) < graph.n
-            and len(set(zip(us, vs))) == len(edges))
-
-
 def validate(graph: Graph) -> Optional[str]:
     """Check all structural invariants of a graph.
 
     Returns None when the graph is well formed, otherwise a message naming
     the first violated invariant and the offending edge. Callers decide
-    whether a violation is fatal. A bulk check settles a well-formed graph;
-    any other runs the per-edge loop, which alone words the message.
+    whether a violation is fatal. One pass over the edges checks each in
+    turn; ints are ints by exact type, so a bool vertex count, endpoint or
+    weight is rejected.
     """
     n = graph.n
+    if type(n) is not int:
+        return "non-integer vertex count"
     if n < 0:
         return "negative vertex count"
-    if _well_formed(graph):
-        return None
     is_colored = isinstance(graph, ColoredGraph)
     seen: dict[tuple[int, int], int] = {}
     for i, e in enumerate(graph.edges):
-        if len(e) != 3:
+        try:
+            u, v, payload = e
+        except ValueError:
             return f"edge {i} is not a (u, v, {'color' if is_colored else 'weight'}) triple"
-        u, v, payload = e
-        if not isinstance(u, int) or not isinstance(v, int):
+        if type(u) is not int or type(v) is not int:
             return f"non-integer endpoint at edge {i}"
-        if u == v:
-            return f"self-loop at edge {i}"
-        if u > v:
+        if u >= v:
+            if u == v:
+                return f"self-loop at edge {i}"
             return f"endpoints out of order at edge {i} (expected u < v)"
         if u < 0 or v >= n:
             return f"vertex id out of range at edge {i}"
-        if (u, v) in seen:
-            return f"parallel edge at edge {i} (duplicate of edge {seen[(u, v)]})"
-        seen[(u, v)] = i
+        first = seen.setdefault((u, v), i)
+        if first != i:
+            return f"parallel edge at edge {i} (duplicate of edge {first})"
         if is_colored:
-            if payload not in (RED, BLUE):
+            if payload != RED and payload != BLUE:
                 return f"unknown color {payload!r} at edge {i}"
-        else:
-            if not isinstance(payload, int) or payload < 0:
-                return f"negative or non-integer weight at edge {i}"
+        elif type(payload) is not int or payload < 0:
+            return f"negative or non-integer weight at edge {i}"
     return None
 
 
 def validate_instance(instance: Union[EmInstance, TkpmInstance]) -> Optional[str]:
     """Check instance invariants: the graph must be well formed and k must
-    be in range (0 <= k <= n/2 for exact matching, 0 <= k for top-k)."""
+    be an int in range (0 <= k <= n/2 for exact matching, 0 <= k for top-k)."""
     report = validate(instance.graph)
     if report is not None:
         return report
+    if type(instance.k) is not int:
+        return f"non-integer k ({instance.k!r})"
     if instance.k < 0:
         return f"negative k ({instance.k})"
     if isinstance(instance, EmInstance) and instance.k > instance.graph.n // 2:

@@ -212,6 +212,19 @@ def test_matching_bad_prefix():
         parse_matching("x 1 0")
 
 
+@pytest.mark.parametrize("text, lineno, message", [
+    ("m -1", 1, "line 1: matching size must be non-negative"),
+    ("m -1 0", 3, "line 3: matching size must be non-negative"),
+    ("m 1 -1", 1, "line 1: edge id must be non-negative"),
+    ("m 2 4 -3", 2, "line 2: edge id must be non-negative"),
+    ("m 3 -1", 1, "line 1: edge id must be non-negative"),
+], ids=["count", "count with an id", "id", "second id", "id before the count check"])
+def test_matching_rejects_a_negative_number(text, lineno, message):
+    with pytest.raises(InstanceFormatError) as caught:
+        parse_matching(text, lineno=lineno)
+    assert str(caught.value) == message
+
+
 def test_format_em_instance_layout():
     g = ColoredGraph(2, ((0, 1, RED),))
     text = format_em_instance(EmInstance(g, 1))

@@ -15,7 +15,6 @@ from exactmatch.graphs import (
     EmInstance,
     TkpmInstance,
     WeightedGraph,
-    _well_formed,
     as_matching,
     is_perfect_matching,
     red_count,
@@ -253,19 +252,140 @@ def test_validate_names_each_planted_defect(graph_type, plant, message):
         edges = [(u, v, rng.choice((RED, BLUE)) if graph_type is ColoredGraph
                   else rng.randint(0, 9)) for u, v in pairs]
         clean = graph_type(n, tuple(edges))
-        assert _well_formed(clean) and validate(clean) is None
+        assert validate(clean) is None
         i = rng.randrange(1, len(edges))
         edges[i] = plant(edges[i], i, n, edges)
         broken = graph_type(n, tuple(edges))
-        assert not _well_formed(broken)
         assert validate(broken) == message.format(i=i, payload=payload)
 
 
-def test_bulk_check_leaves_a_bool_endpoint_to_the_loop():
-    # a bool is an int to the loop; the bulk check refuses it and the loop decides
-    g = ColoredGraph(2, ((False, True, RED),))
-    assert not _well_formed(g) and validate(g) is None
-    assert _well_formed(ColoredGraph(0, ())) and validate(WeightedGraph(0, ())) is None
+@pytest.mark.parametrize("graph, message", [
+    (ColoredGraph(2, ((False, True, RED),)), "non-integer endpoint at edge 0"),
+    (ColoredGraph(3, ((0, 1, RED), (1, True, BLUE))), "non-integer endpoint at edge 1"),
+    (WeightedGraph(2, ((0, 1, True),)), "negative or non-integer weight at edge 0"),
+    (WeightedGraph(3, ((0, 1, 2), (1, 2, False))), "negative or non-integer weight at edge 1"),
+], ids=["colored endpoints", "colored second endpoint", "weight True", "weight False"])
+def test_validate_rejects_a_bool_endpoint_or_weight(graph, message):
+    # a bool is an int to isinstance, not by exact type
+    assert validate(graph) == message
+
+
+@pytest.mark.parametrize("n", [2.0, True, "2", None], ids=repr)
+def test_validate_rejects_a_non_integer_vertex_count(n):
+    assert validate(ColoredGraph(n, ((0, 1, RED),))) == "non-integer vertex count"
+    assert validate(WeightedGraph(n, ())) == "non-integer vertex count"
+    # checked before the sign
+    assert validate_instance(EmInstance(ColoredGraph(n, ()), -1)) == "non-integer vertex count"
+
+
+@pytest.mark.parametrize("k, message", [
+    (1.5, "non-integer k (1.5)"),
+    (True, "non-integer k (True)"),
+    (-1.0, "non-integer k (-1.0)"),
+    ("1", "non-integer k ('1')"),
+], ids=["1.5", "True", "-1.0", "'1'"])
+def test_validate_instance_rejects_a_non_integer_k(k, message):
+    assert validate_instance(EmInstance(ColoredGraph(2, ((0, 1, RED),)), k)) == message
+    assert validate_instance(TkpmInstance(WeightedGraph(2, ((0, 1, 3),)), k)) == message
+
+
+@pytest.mark.parametrize("graph, message", [
+    # the first bad edge wins, whatever the later edges hold
+    (ColoredGraph(3, ((0, 1, "g"), (1, 1, RED))), "unknown color 'g' at edge 0"),
+    # within one edge the checks run in a fixed order
+    (ColoredGraph(3, ((5, 5, "g"),)), "self-loop at edge 0"),
+    (ColoredGraph(3, ((9, 0, RED),)), "endpoints out of order at edge 0 (expected u < v)"),
+    (ColoredGraph(3, ((-1, 0, RED),)), "vertex id out of range at edge 0"),
+    (ColoredGraph(3, ((0, 1, RED), (0, 1, "g"))), "parallel edge at edge 1 (duplicate of edge 0)"),
+    (WeightedGraph(3, ((0.0, 0, -1),)), "non-integer endpoint at edge 0"),
+    (WeightedGraph(3, ((0, 1, 2), (0, 1))), "edge 1 is not a (u, v, weight) triple"),
+], ids=["earlier edge", "self-loop first", "order before range", "negative id",
+        "parallel before colour", "type before self-loop", "short edge"])
+def test_validate_reports_the_first_of_several_defects(graph, message):
+    assert validate(graph) == message
+
+
+def reference_validate(graph):
+    """The per-edge loop validate used to run after its bulk pre-check,
+    with ints checked by exact type: the fuzz test's reference."""
+    n = graph.n
+    if type(n) is not int:
+        return "non-integer vertex count"
+    if n < 0:
+        return "negative vertex count"
+    is_colored = isinstance(graph, ColoredGraph)
+    seen = {}
+    for i, e in enumerate(graph.edges):
+        if len(e) != 3:
+            return f"edge {i} is not a (u, v, {'color' if is_colored else 'weight'}) triple"
+        u, v, payload = e
+        if type(u) is not int or type(v) is not int:
+            return f"non-integer endpoint at edge {i}"
+        if u == v:
+            return f"self-loop at edge {i}"
+        if u > v:
+            return f"endpoints out of order at edge {i} (expected u < v)"
+        if u < 0 or v >= n:
+            return f"vertex id out of range at edge {i}"
+        if (u, v) in seen:
+            return f"parallel edge at edge {i} (duplicate of edge {seen[(u, v)]})"
+        seen[(u, v)] = i
+        if is_colored:
+            if payload not in (RED, BLUE):
+                return f"unknown color {payload!r} at edge {i}"
+        else:
+            if type(payload) is not int or payload < 0:
+                return f"negative or non-integer weight at edge {i}"
+    return None
+
+
+# each replaces edge i (u, v, payload) of a simple graph on n vertices;
+# edges holds the others
+PLANTS = [
+    lambda e, n, edges: e[:2],
+    lambda e, n, edges: e + (0,),
+    lambda e, n, edges: (float(e[0]),) + e[1:],
+    lambda e, n, edges: (e[0], str(e[1])) + e[2:],
+    lambda e, n, edges: (True,) + e[1:],
+    lambda e, n, edges: (e[1], e[1]) + e[2:],
+    lambda e, n, edges: (e[1], e[0]) + e[2:],
+    lambda e, n, edges: (e[0], n) + e[2:],
+    lambda e, n, edges: (-1,) + e[1:],
+    lambda e, n, edges: edges[0][:2] + e[2:],
+    lambda e, n, edges: e[:2] + ("g",),
+    lambda e, n, edges: e[:2] + (True,),
+    lambda e, n, edges: e[:2] + (-1,),
+    lambda e, n, edges: e[:2] + (1.0,),
+    lambda e, n, edges: e[:2] + ("3",),
+]
+
+
+@pytest.mark.parametrize("graph_type", [ColoredGraph, WeightedGraph], ids=lambda t: t.__name__)
+def test_validate_matches_the_reference_loop_on_planted_defects(graph_type):
+    rng = random.Random(19)
+    payload_check = "unknown color" if graph_type is ColoredGraph else "weight at"
+    checks = ("not a", "non-integer endpoint", "self-loop", "out of order", "out of range",
+              "parallel", payload_check, "non-integer vertex count", "negative vertex count")
+    reached = set()
+    for _ in range(3000):
+        n = rng.randint(3, 8)
+        pairs = rng.sample(list(itertools.combinations(range(n), 2)), rng.randint(1, n))
+        edges = [(u, v, rng.choice((RED, BLUE)) if graph_type is ColoredGraph
+                  else rng.randint(0, 9)) for u, v in pairs]
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randrange(len(edges))
+            edges[i] = rng.choice(PLANTS)(edges[i], n, edges)
+        if rng.random() < 0.05:
+            n = rng.choice((-1, float(n), True))
+        graph = graph_type(n, tuple(edges))
+        expected = reference_validate(graph)
+        assert validate(graph) == expected, graph
+        if expected is None:
+            reached.add(None)
+        else:
+            reached.update(c for c in checks if c in expected)
+    # clean graphs were seen, and every check was the one to report
+    assert reached == set(checks) | {None}
 
 
 @pytest.mark.parametrize("graph, attr, message", [
