@@ -35,11 +35,12 @@ demos compare against: one integer determinant at y = 2^s, read back as
 a tuple of integer coefficients.
 
 Parity matching (red count congruent to k mod 2, optionally bounded by k)
-is decided here as well, by one exact-matching query per feasible red count
-of the right parity. One coefficient vector answers every red count, so
-while a parity decision runs, its queries share their vectors: a trial
-that draws the same values on the same cells as an earlier query of the
-same decision reuses that query's vector instead of eliminating again.
+is decided here as well, by one exact-matching query per red count that
+engines.red_counts lists for the problem. One coefficient vector answers
+every red count, so while a parity decision runs, its queries share their
+vectors: a trial that draws the same values on the same cells as an
+earlier query of the same decision reuses that query's vector instead of
+eliminating again.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Union
 
-from .engines import brute_em
+from .engines import brute_em, red_counts
 from .graphs import ColoredGraph, EmInstance, Matching
 
 DEFAULT_TRIALS = 40
@@ -94,9 +95,9 @@ class EmDecision:
     stated one-sided error bound, which stays positive however many trials
     ran; it is exact (bound 0.0, trials_run 0) only when the instance
     structurally admits no perfect matching with k red edges (unequal
-    sides, or k outside 0..n/2). The transcript records, per trial, the
-    GF(p) values drawn for the edges and whether the inspected coefficient
-    was nonzero.
+    sides, k outside 0..n/2, or k above the number of red edges). The
+    transcript records, per trial, the GF(p) values drawn for the edges and
+    whether the inspected coefficient was nonzero.
     """
 
     answer: bool
@@ -449,9 +450,12 @@ def algebraic_em_decide(
         ) -> EmDecision:
     """One-sided Monte Carlo decision of exact matching on a bipartite graph.
 
-    Raises ValueError on non-bipartite input; use brute_em for those graphs.
+    Raises ValueError on non-bipartite input, for which brute_em serves,
+    and for trials that are not an int of at least 1 (a bool is not one).
     Identical (instance, trials, seed) always reproduce the same transcript.
     """
+    if type(trials) is not int:
+        raise ValueError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be positive")
     graph, k = instance.graph, instance.k
@@ -509,21 +513,22 @@ def yes_and_error(result) -> tuple[bool, float]:
     return result is not None, 0.0
 
 
-def _parity_via_em(instance: EmInstance, em_decider: Optional[EmDecider],
-                   top: int) -> ParityDecision:
-    """Ask EM at every red count of k's parity from k % 2 up to top.
+def _parity_via_em(problem: str, instance: EmInstance,
+                   em_decider: Optional[EmDecider]) -> ParityDecision:
+    """Ask EM at every red count that answers the problem, cpm or bcpm,
+    in the order engines.red_counts lists them.
 
     The queries share the algebraic decider's coefficient vectors for the
     duration of this call only.
     """
     if em_decider is None:
         em_decider = brute_em
-    graph, k = instance.graph, instance.k
+    graph = instance.graph
     queries: list[int] = []
     accumulated_error = 0.0
     scope = _shared_vectors.set({})
     try:
-        for kp in range(k % 2, top + 1, 2):
+        for kp in red_counts(problem, instance):
             queries.append(kp)
             yes, error = yes_and_error(em_decider(EmInstance(graph, kp)))
             if yes:
@@ -537,16 +542,16 @@ def _parity_via_em(instance: EmInstance, em_decider: Optional[EmDecider],
 
 def cpm_via_em(instance: EmInstance, em_decider: Optional[EmDecider] = None) -> ParityDecision:
     """Decide whether some perfect matching has red count congruent to
-    k mod 2, by one exact-matching query per feasible red count of that
-    parity (at most n/2 + 1 queries).
+    k mod 2, by one exact-matching query per red count of that parity in
+    0..n/2 (at most floor(n/4) + 1 queries).
 
     With a randomized decider the "no" side inherits a union-bound error,
     reported in the result; with brute_em the answer is exact.
     """
-    return _parity_via_em(instance, em_decider, instance.graph.n // 2)
+    return _parity_via_em("cpm", instance, em_decider)
 
 
 def bcpm_via_em(instance: EmInstance, em_decider: Optional[EmDecider] = None) -> ParityDecision:
     """Bounded variant: the red count must match k's parity and not exceed
     k, so only red counts up to k are queried."""
-    return _parity_via_em(instance, em_decider, min(instance.k, instance.graph.n // 2))
+    return _parity_via_em("bcpm", instance, em_decider)

@@ -239,6 +239,8 @@ def exhaustive_instances(max_n: int, seed: int = 0) -> Iterator[EmInstance]:
     n <= max_n, every graph class that can have a perfect matching (all
     isomorphism classes for n <= 6, seeded samples at n = 8), crossed with
     edge colorings and every k in 0..n/2."""
+    if type(max_n) is not int:
+        raise ValueError(f"max_n must be an int, got {max_n!r}")
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
     if max_n > 8:
@@ -429,16 +431,21 @@ def randomized_campaign(
     instance) and cross-check the named engines pairwise within each problem
     family. Bipartite-only engines sit out non-bipartite instances, and an
     instance on which that leaves nothing to compare counts as skipped,
-    not run. Raises ValueError for a negative count, trials below 1, an
-    unknown or repeated engine name, and when no problem family has two of
-    the named engines, since nothing would be compared.
+    not run. Raises ValueError for a count that is not a non-negative int,
+    trials that are not an int of at least 1, an unknown or repeated engine
+    name, and when no problem family has two of the named engines, since
+    nothing would be compared.
 
     The detection field reports, for each randomized engine, how many
     brute-force-confirmed yes instances it answered yes on, which is the
     empirical single-run detection rate when trials=1.
     """
+    if type(count) is not int:
+        raise ValueError(f"count must be an int, got {count!r}")
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if type(trials) is not int:
+        raise ValueError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be positive")
     for i, name in enumerate(engines):

@@ -23,7 +23,9 @@ lowered as they are taken back. It knows a leaf by the number of chosen
 edges, without a scan, and yields its live state there. The brute solvers
 read the red count and the TkPM engines the top-k weight from the counts,
 and each sorts only the matching it keeps into a tuple;
-enumerate_perfect_matchings sorts every one.
+enumerate_perfect_matchings sorts every one. Which red counts answer EM,
+CPM and BCPM is one rule, red_counts, which the via-EM route in algebraic
+reads as well.
 
 The TkPM decision form, tkpm_reaches, stops at the first perfect matching
 that reaches a threshold; brute_tkpm is the optimisation oracle that ranks
@@ -261,8 +263,7 @@ def brute_em(instance: EmInstance,
              budget: Optional[EnumerationBudget] = None) -> Optional[Matching]:
     """First perfect matching in canonical order with exactly k red edges,
     or None when no such matching exists. Budget exhaustion propagates."""
-    k = instance.k
-    return _brute_first(instance, lambda r: r == k, budget)
+    return _brute_first(instance, red_counts("em", instance), budget)
 
 
 def brute_tkpm(instance: TkpmInstance) -> Optional[tuple[Matching, int]]:
@@ -301,24 +302,40 @@ def tkpm_reaches(instance: TkpmInstance, threshold: int,
                for _, counts in _leaves(graph, budget))
 
 
-def _brute_first(instance: EmInstance, accept,
+def red_counts(problem: str, instance: EmInstance) -> range:
+    """The red counts of the perfect matchings that answer the problem
+    yes, for the SOLVERS problem names em, cpm and bcpm: exactly k for
+    em; for cpm every count of k's parity up to n/2, the most a perfect
+    matching holds; for bcpm the same, none above k. The brute solvers test
+    a leaf's red count against this range, and the via-EM route asks EM
+    at each count in it, in order. Raises ValueError for any other name."""
+    k = instance.k
+    if problem == "em":
+        return range(k, k + 1)
+    most = instance.graph.n // 2
+    if problem == "bcpm":
+        most = min(k, most)
+    elif problem != "cpm":
+        raise ValueError(f"no red-count rule for problem {problem!r}")
+    return range(k % 2, most + 1, 2)
+
+
+def _brute_first(instance: EmInstance, wanted: range,
                  budget: Optional[EnumerationBudget] = None) -> Optional[Matching]:
-    """First perfect matching in canonical order whose red count passes
-    accept, or None."""
+    """First perfect matching in canonical order whose red count is in
+    wanted, or None."""
     for chosen, counts in _leaves(instance.graph, budget):
-        if accept(counts[1]):
+        if counts[1] in wanted:
             return tuple(sorted(chosen))
     return None
 
 
 def brute_cpm(instance: EmInstance) -> Optional[Matching]:
     """First perfect matching whose red count has the same parity as k."""
-    parity = instance.k % 2
-    return _brute_first(instance, lambda r: r % 2 == parity)
+    return _brute_first(instance, red_counts("cpm", instance))
 
 
 def brute_bcpm(instance: EmInstance) -> Optional[Matching]:
     """First perfect matching whose red count has the same parity as k and
     does not exceed k."""
-    k = instance.k
-    return _brute_first(instance, lambda r: r <= k and r % 2 == k % 2)
+    return _brute_first(instance, red_counts("bcpm", instance))

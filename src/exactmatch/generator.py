@@ -19,9 +19,9 @@ from .graphs import BLUE, RED, ColoredGraph, EmInstance
 class GenSpec:
     """Parameters of one random instance draw.
 
-    n must be even and at least 2. extra_edges counts edges beyond the
-    planted matching; with bipartite=True the planted matching and all
-    extras stay across the fixed split {0..n/2-1} | {n/2..n-1}.
+    n must be an even int of at least 2. extra_edges, an int, counts edges
+    beyond the planted matching; with bipartite=True the planted matching
+    and all extras stay across the fixed split {0..n/2-1} | {n/2..n-1}.
     """
 
     n: int
@@ -37,6 +37,11 @@ class GenSpec:
 
 
 def _check_spec(spec: GenSpec) -> None:
+    # type, not isinstance: a bool is an int, but no count
+    if type(spec.n) is not int:
+        raise ValueError(f"n must be an int, got {spec.n!r}")
+    if type(spec.extra_edges) is not int:
+        raise ValueError(f"extra_edges must be an int, got {spec.extra_edges!r}")
     if spec.n < 2 or spec.n % 2:
         raise ValueError(f"n must be even and >= 2, got {spec.n}")
     if not 0.0 <= spec.red_prob <= 1.0:

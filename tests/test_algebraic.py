@@ -178,6 +178,13 @@ def test_symbolic_determinant_rejects_a_side_label_other_than_0_or_1():
         symbolic_determinant(path, Bipartition((0, 1, 2, 2)), (1, 1, 1))
 
 
+def test_symbolic_determinant_rejects_a_bipartition_that_does_not_separate_an_edge():
+    # vertices 0 and 2 share side 0, and edge 1 joins them
+    path = ColoredGraph(4, ((0, 1, RED), (0, 2, BLUE), (2, 3, BLUE)))
+    with pytest.raises(ValueError, match="bipartition does not separate edge 1"):
+        symbolic_determinant(path, Bipartition((0, 1, 0, 1)), (1, 1, 1))
+
+
 def test_symbolic_determinant_weight_count_checked():
     bp = find_bipartition(K2_RED)
     with pytest.raises(ValueError, match="one weight per edge"):
@@ -292,6 +299,10 @@ def test_algebraic_decide_rejects_non_bipartite():
 def test_algebraic_decide_rejects_bad_trials():
     with pytest.raises(ValueError, match="trials must be positive"):
         algebraic_em_decide(EmInstance(K2_RED, 1), trials=0)
+    # 1.5 used to fail inside range() as TypeError, and True ran one trial
+    for trials in (1.5, True, "2"):
+        with pytest.raises(ValueError, match=f"trials must be an int, got {trials!r}"):
+            algebraic_em_decide(EmInstance(K2_RED, 1), trials=trials)
 
 
 def test_algebraic_decide_transcripts_reproducible():

@@ -600,6 +600,26 @@ def test_randomized_campaign_rejects_trials_below_one(trials):
         randomized_campaign(5, GenSpec(n=4), trials=trials)
 
 
+@pytest.mark.parametrize("count, trials, message", [
+    (3, 1.5, "trials must be an int, got 1.5"),
+    (3, True, "trials must be an int, got True"),
+    (2.5, 1, "count must be an int, got 2.5"),
+    (True, 1, "count must be an int, got True"),
+])
+def test_randomized_campaign_rejects_arguments_that_are_not_ints(count, trials, message):
+    # trials=1.5 used to surface as a hard disagreement, "algebraic=raised
+    # TypeError", and count=True ran one instance
+    with pytest.raises(ValueError, match=message):
+        randomized_campaign(count, GenSpec(n=4, extra_edges=1),
+                            engines=("brute-em", "algebraic"), trials=trials)
+
+
+@pytest.mark.parametrize("max_n", [4.0, True])
+def test_exhaustive_instances_rejects_a_max_n_that_is_not_an_int(max_n):
+    with pytest.raises(ValueError, match=f"max_n must be an int, got {max_n!r}"):
+        next(exhaustive_instances(max_n))
+
+
 def test_randomized_campaign_rigged_statistical_events(monkeypatch):
     monkeypatch.setitem(
         campaign.ENGINES, "hedger",

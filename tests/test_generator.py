@@ -67,6 +67,16 @@ def test_invalid_specs_rejected():
         gen_instance(GenSpec(n=2, extra_edges=1))
     with pytest.raises(ValueError, match="red_prob"):
         gen_instance(GenSpec(n=4, red_prob=1.5))
+    # a float count used to fail deep in the draw as TypeError, and
+    # extra_edges=True drew one edge
+    with pytest.raises(ValueError, match="n must be an int, got 4.0"):
+        gen_instance(GenSpec(n=4.0))
+    with pytest.raises(ValueError, match="n must be an int, got True"):
+        gen_instance(GenSpec(n=True))
+    with pytest.raises(ValueError, match="extra_edges must be an int, got 2.0"):
+        gen_instance(GenSpec(n=4, extra_edges=2.0))
+    with pytest.raises(ValueError, match="extra_edges must be an int, got True"):
+        gen_instance(GenSpec(n=4, extra_edges=True))
 
 
 def test_max_extra_edges():
