@@ -502,15 +502,16 @@ EmDecider = Callable[[EmInstance], Union[EmDecision, Optional[Matching], bool]]
 
 
 def yes_and_error(result) -> tuple[bool, float]:
-    """Read any engine's result as (yes, error bound on a "no"): an
-    EmDecision or ParityDecision carries its own bound, while a bool or a
-    witness-or-None answer is exact."""
-    if isinstance(result, (EmDecision, ParityDecision)):
+    """Read what an EM decider returns as (yes, error bound on a "no"): an
+    EmDecision carries its own bound, while a bool, or a witness tuple or
+    None, is exact. Any other type raises TypeError, rather than read "yes"."""
+    if isinstance(result, EmDecision):
         return result.answer, result.error_bound
     if isinstance(result, bool):
         return result, 0.0
-    # Witness-or-None style decider; () is a genuine witness on n=0.
-    return result is not None, 0.0
+    if result is None or type(result) is tuple:   # () is a genuine witness on n=0
+        return result is not None, 0.0
+    raise TypeError(f"unknown EM decider result type: {type(result).__name__}")
 
 
 def _parity_via_em(problem: str, instance: EmInstance,

@@ -10,16 +10,16 @@ and via-tkpm (the gadget-reduction decider) on it. randomized_campaign
 compares any subset of ENGINES on generated instances.
 
 SOLVERS is the one engine table: `exactmatch solve` looks engines up in it,
-and ENGINES, the named engines the campaigns run, is derived from it. Its
-runners return only a verdict: "yes", "no" or "probably-no".
+and ENGINES, the named engines the campaigns run, holds its row callables,
+each of which returns an Answer built from its engine's own result.
 
-Comparison convention: a verdict is exact unless it is "probably-no". A
-"probably no" from a randomized engine against a brute-force "yes" is a
-statistical event, recorded separately; an impossible answer (a "yes"
-against a brute-force "no", or two exact answers differing) is a hard
-disagreement, and so is an engine that crashes, which does not stop the
-campaign. Every reported event embeds the serialized instance so it can be
-replayed on its own.
+Comparison convention: an answer is exact unless it is a "no" with a
+positive error bound, a "probably no". One from a randomized engine against
+a brute-force "yes" is a statistical event, recorded separately; an
+impossible answer (a "yes" against a brute-force "no", or two exact answers
+differing) is a hard disagreement, and so is an engine that crashes, which
+does not stop the campaign. Every reported event embeds the serialized
+instance so it can be replayed on its own.
 
 The exhaustive stream is cheap to hold whole: the graphs of one structure
 share each edge's blue and red (u, v, colour) triple, the instance types
@@ -35,14 +35,13 @@ import random
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .algebraic import (
     algebraic_em_decide,
     bcpm_via_em,
     cpm_via_em,
     find_bipartition,
-    yes_and_error,
 )
 from .engines import (
     BudgetExhausted,
@@ -54,7 +53,7 @@ from .engines import (
 )
 from .formats import format_em_instance
 from .generator import GenSpec, gen_instance
-from .graphs import BLUE, RED, ColoredGraph, EmInstance
+from .graphs import BLUE, RED, ColoredGraph, EmInstance, Matching
 from .reduction import decide_em_via_tkpm
 
 SWEEP_COLORINGS_CAP = 128   # colorings sampled per graph of more than 10 edges
@@ -238,59 +237,73 @@ def exhaustive_instances(max_n: int, seed: int = 0) -> Iterator[EmInstance]:
     """The covering instance stream behind exhaustive_sweep: for each even
     n <= max_n, every graph class that can have a perfect matching (all
     isomorphism classes for n <= 6, seeded samples at n = 8), crossed with
-    edge colorings and every k in 0..n/2."""
+    edge colorings and every k in 0..n/2. max_n is checked at the call."""
     if type(max_n) is not int:
         raise ValueError(f"max_n must be an int, got {max_n!r}")
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
     if max_n > 8:
         raise ValueError("max_n must be at most 8 (cost guard)")
-    rng = random.Random(seed)
-    for n in range(2, max_n + 1, 2):
-        if n <= 6:
-            structures = graph_classes_with_pm(n)
-        else:
-            structures = _sampled_pm_graphs(n, SWEEP_N8_GRAPHS, rng)
-        for edges in structures:
-            # each edge's blue and red triple, shared by all the colorings
-            triples = [((u, v, BLUE), (u, v, RED)) for u, v in edges]
-            for bits in _colorings(len(edges), rng):
-                graph = ColoredGraph(
-                    n, tuple([pair[bits >> i & 1] for i, pair in enumerate(triples)]))
-                for k in range(n // 2 + 1):
-                    yield EmInstance(graph, k)
+
+    def stream() -> Iterator[EmInstance]:
+        rng = random.Random(seed)
+        for n in range(2, max_n + 1, 2):
+            if n <= 6:
+                structures = graph_classes_with_pm(n)
+            else:
+                structures = _sampled_pm_graphs(n, SWEEP_N8_GRAPHS, rng)
+            for edges in structures:
+                # each edge's blue and red triple, shared by all the colorings
+                triples = [((u, v, BLUE), (u, v, RED)) for u, v in edges]
+                for bits in _colorings(len(edges), rng):
+                    graph = ColoredGraph(
+                        n, tuple([pair[bits >> i & 1] for i, pair in enumerate(triples)]))
+                    for k in range(n // 2 + 1):
+                        yield EmInstance(graph, k)
+    return stream()
+
+
+class Answer(NamedTuple):
+    """What every SOLVERS row returns, built once from its engine's result."""
+
+    yes: bool
+    witness: Optional[Matching] = None      # when the engine gives one
+    value: Optional[int] = None             # the tkpm optimum
+    error_bound: Optional[float] = None     # on a "no"; None from an exact engine
+
+    @property
+    def verdict(self) -> str:
+        """In words, for a Disagreement; a "no" with a positive bound is "probably-no"."""
+        return "yes" if self.yes else "probably-no" if self.error_bound else "no"
 
 
 # (problem, `solve --engine` name) -> (campaign engine name or None,
-# bipartite-only, solve(instance, seed, trials, budget)): the one place to
-# add an engine. Each callable uses only the options its engine has, and
-# looks the engine up in this module at call time.
-SOLVERS: dict[tuple[str, str], tuple[Optional[str], bool, Callable]] = {
-    ("em", "brute"): ("brute-em", False, lambda inst, seed, trials, budget: brute_em(inst, budget)),
-    ("em", "via-tkpm"): ("via-tkpm", False,
-                         lambda inst, seed, trials, budget: decide_em_via_tkpm(inst, budget)),
-    ("em", "algebraic"): ("algebraic", True, lambda inst, seed, trials, budget:
-                          algebraic_em_decide(inst, trials=trials, seed=seed)),
-    ("tkpm", "brute"): (None, False, lambda inst, seed, trials, budget: brute_tkpm(inst)),
-    ("cpm", "brute"): ("brute-cpm", False, lambda inst, seed, trials, budget: brute_cpm(inst)),
-    ("cpm", "via-em"): ("cpm-via-em", False, lambda inst, seed, trials, budget: cpm_via_em(inst)),
-    ("bcpm", "brute"): (None, False, lambda inst, seed, trials, budget: brute_bcpm(inst)),
-    ("bcpm", "via-em"): (None, False, lambda inst, seed, trials, budget: bcpm_via_em(inst)),
+# bipartite-only, solve(instance, seed, trials, budget) -> Answer): the one
+# place to add an engine or to read its result. Each callable uses only the
+# options its engine has, and looks the engine up in this module at call
+# time. A via-em row gives a zero bound as None: brute_em decides exactly.
+SOLVERS: dict[tuple[str, str], tuple[Optional[str], bool, Callable[..., Answer]]] = {
+    ("em", "brute"): ("brute-em", False, lambda inst, seed, trials, budget:
+                      Answer((w := brute_em(inst, budget)) is not None, w)),
+    ("em", "via-tkpm"): ("via-tkpm", False, lambda inst, seed, trials, budget:
+                         Answer(decide_em_via_tkpm(inst, budget))),
+    ("em", "algebraic"): ("algebraic", True, lambda inst, seed, trials, budget: Answer(
+        (d := algebraic_em_decide(inst, trials, seed)).answer, error_bound=d.error_bound)),
+    ("tkpm", "brute"): (None, False, lambda inst, seed, trials, budget:
+                        Answer(False) if (r := brute_tkpm(inst)) is None else Answer(True, *r)),
+    ("cpm", "brute"): ("brute-cpm", False, lambda inst, seed, trials, budget:
+                       Answer((w := brute_cpm(inst)) is not None, w)),
+    ("cpm", "via-em"): ("cpm-via-em", False, lambda inst, seed, trials, budget:
+                        Answer((d := cpm_via_em(inst)).answer, error_bound=d.error_bound or None)),
+    ("bcpm", "brute"): (None, False, lambda inst, seed, trials, budget:
+                        Answer((w := brute_bcpm(inst)) is not None, w)),
+    ("bcpm", "via-em"): (None, False, lambda inst, seed, trials, budget:
+                         Answer((d := bcpm_via_em(inst)).answer, error_bound=d.error_bound or None)),
 }
 
-
-def _verdict(solve: Callable) -> Callable[..., str]:
-    """A campaign runner: the solve result as "yes", "no", or "probably-no"
-    for a "no" that carries an error bound."""
-    def run(instance, seed, trials, budget) -> str:
-        yes, error = yes_and_error(solve(instance, seed, trials, budget))
-        return "yes" if yes else "no" if error == 0.0 else "probably-no"
-    return run
-
-
-# name -> (problem family, bipartite-only, verdict runner)
-ENGINES: dict[str, tuple[str, bool, Callable[..., str]]] = {
-    name: (problem, bipartite, _verdict(solve))
+# name -> (problem family, bipartite-only, the SOLVERS row callable)
+ENGINES: dict[str, tuple[str, bool, Callable[..., Answer]]] = {
+    name: (problem, bipartite, solve)
     for (problem, _), (name, bipartite, solve) in SOLVERS.items() if name is not None}
 
 
@@ -302,7 +315,7 @@ def _cross_check(cases, engines: dict, trials: int,
     to an ENGINES entry, and each runner gets the case's seed, trials, budget.
     Bipartite-only engines sit out non-bipartite instances, and detection
     counts their yes answers on instances an exact engine answered yes.
-    Verdicts are compared pairwise within a problem family, keeping at most
+    Answers are compared pairwise within a problem family, keeping at most
     one hard and one statistical Disagreement per instance. An engine that
     raises any other exception than BudgetExhausted makes the instance's
     hard Disagreement: its verdict is "raised <exception type>", set against
@@ -319,14 +332,13 @@ def _cross_check(cases, engines: dict, trials: int,
     bipartite_only = [name for name, (_, needs, _) in engines.items() if needs]
     detected = dict.fromkeys(bipartite_only, 0)
     yes_total = dict.fromkeys(bipartite_only, 0)
-    negative = ("no", "probably-no")
     run = skipped = 0
 
     for iid, instance, case_seed in cases:
         bipartite = bool(bipartite_only) and find_bipartition(instance.graph) is not None
-        # (name, family, verdict, seconds) of each engine that answered, and
-        # of each that raised, with the verdict "raised <exception type>"
-        answers: list[tuple[str, str, str, float]] = []
+        # (name, family, Answer, seconds) of each engine that answered, and
+        # (name, family, "raised <exception type>", seconds) of each that raised
+        answers: list[tuple[str, str, Answer, float]] = []
         crashes: list[tuple[str, str, str, float]] = []
         exhausted: Optional[BudgetExhausted] = None
         for name, (family, needs_bipartite, runner) in engines.items():
@@ -334,7 +346,7 @@ def _cross_check(cases, engines: dict, trials: int,
                 continue
             t0 = time.perf_counter()
             try:
-                verdict = runner(instance, case_seed, trials, budget)
+                answer = runner(instance, case_seed, trials, budget)
             except BudgetExhausted as exc:
                 exhausted = exc
                 break
@@ -345,13 +357,13 @@ def _cross_check(cases, engines: dict, trials: int,
                 crashes.append((name, family, f"raised {type(exc).__name__}",
                                 time.perf_counter() - t0))
                 continue
-            answers.append((name, family, verdict, time.perf_counter() - t0))
+            answers.append((name, family, answer, time.perf_counter() - t0))
         if exhausted is not None and not crashes:
             skipped += 1
             notes.append(f"instance {iid}: skipped, {exhausted}\n{format_em_instance(instance)}")
             continue
         if len({family for _, family, _, _ in answers}) == len(answers) and not crashes:
-            # every family that ran has one verdict, so nothing was compared
+            # every family that ran has one answer, so nothing was compared
             skipped += 1
             notes.append(f"instance {iid}: skipped, not bipartite, so no problem family "
                          f"had two engines to compare\n{format_em_instance(instance)}")
@@ -363,17 +375,15 @@ def _cross_check(cases, engines: dict, trials: int,
         found: dict[str, Disagreement] = {}   # kind -> first event of that kind
         if crashes:
             na, fa, va, _ = crashes[0]
-            nb, vb = next(((n_, v_) for n_, f_, v_, _ in answers if f_ == fa), ("", ""))
+            nb, vb = next(((n_, a_.verdict) for n_, f_, a_, _ in answers if f_ == fa), ("", ""))
             found["hard"] = Disagreement(iid, na, nb, va, vb, "hard",
                                          format_em_instance(instance), case_seed)
-        for (na, fa, va, _), (nb, fb, vb, _) in itertools.combinations(answers, 2):
-            if fa != fb or va == vb:
-                continue
-            if va in negative and vb in negative:
-                continue   # both lean no; the weaker one is not a conflict
-            kind = "statistical" if "probably-no" in (va, vb) else "hard"
+        for (na, fa, a, _), (nb, fb, b, _) in itertools.combinations(answers, 2):
+            if fa != fb or a.yes == b.yes:
+                continue   # the same answer: two noes agree, however weak either is
+            kind = "statistical" if (b if a.yes else a).error_bound else "hard"
             if kind not in found:
-                found[kind] = Disagreement(iid, na, nb, va, vb, kind,
+                found[kind] = Disagreement(iid, na, nb, a.verdict, b.verdict, kind,
                                            format_em_instance(instance), case_seed)
         if "hard" in found:
             disagreements.append(found["hard"])
@@ -381,13 +391,13 @@ def _cross_check(cases, engines: dict, trials: int,
             statistical.append(found["statistical"])
 
         # Detection bookkeeping against exact ground truth, when present.
-        truth = next((v == "yes" for n_, f_, v, _ in answers
-                      if f_ == "em" and v != "probably-no" and n_ not in yes_total), None)
+        truth = next((a.yes for n_, f_, a, _ in answers if f_ == "em"
+                      and (a.yes or not a.error_bound) and n_ not in yes_total), None)
         if truth:
-            for name, family, verdict, _ in answers:
+            for name, family, answer, _ in answers:
                 if name in yes_total and family == "em":
                     yes_total[name] += 1
-                    if verdict == "yes":
+                    if answer.yes:
                         detected[name] += 1
 
     return CampaignReport(

@@ -5,10 +5,10 @@ matching gadget), solve (em / tkpm / cpm / bcpm with selectable engines),
 verify (exhaustive or randomized differential campaigns).
 
 solve looks its (problem, engine) pair up in campaign.SOLVERS, the engine
-table that verify's campaigns read too, and reads the result through
-algebraic.yes_and_error. It prints "yes" and the witness when the engine
-returns one ("value" and the witness for tkpm), or "no", followed by
-"error-bound" after an algebraic "no".
+table that verify's campaigns read too, and prints the fields of the
+campaign.Answer its row returns: "yes" and the witness when the engine
+gives one ("value" and the witness for tkpm), or "no", followed by
+"error-bound" when the "no" carries a bound.
 
 reduce and solve run with the cyclic garbage collector paused, and restore
 its previous state on the way out. On a large instance they build hundreds
@@ -30,7 +30,7 @@ import gc
 import sys
 from pathlib import Path
 
-from .algebraic import DEFAULT_TRIALS, EmDecision, yes_and_error
+from .algebraic import DEFAULT_TRIALS
 from .campaign import (
     ENGINES,
     SOLVERS,
@@ -116,20 +116,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
               f"{args.problem} (choose from {', '.join(choices)})", file=sys.stderr)
         return 2
     parse = parse_tkpm_instance if args.problem == "tkpm" else parse_em_instance
-    result = row[2](_read_instance(args.infile, parse), args.seed, args.trials, None)
-    yes, error = yes_and_error(result)
-    if not yes:
+    answer = row[2](_read_instance(args.infile, parse), args.seed, args.trials, None)
+    if not answer.yes:
         print("no")
-        if isinstance(result, EmDecision):
-            print(f"error-bound {error:.3g}")
+        if answer.error_bound is not None:
+            print(f"error-bound {answer.error_bound:.3g}")
         return 1
-    if args.problem == "tkpm":
-        result, value = result
-        print(f"value {value}")
-    else:
-        print("yes")
-    if isinstance(result, tuple):   # a witness matching
-        print(format_matching(result))
+    print("yes" if answer.value is None else f"value {answer.value}")
+    if answer.witness is not None:
+        print(format_matching(answer.witness))
     return 0
 
 

@@ -28,6 +28,7 @@ from exactmatch.algebraic import (
     symbolic_determinant,
     yes_and_error,
 )
+from exactmatch.campaign import Answer
 from exactmatch.engines import brute_em, enumerate_perfect_matchings
 from exactmatch.generator import GenSpec, gen_instance
 from exactmatch.graphs import BLUE, RED, ColoredGraph, EmInstance
@@ -653,14 +654,21 @@ def test_bipartition_sides_accessors():
 def test_yes_and_error_reads_every_result_style():
     decision = algebraic_em_decide(EmInstance(K2_RED, 0), trials=3, seed=0)
     assert yes_and_error(decision) == (False, 2.0 ** -3)
-    assert yes_and_error(cpm_via_em(EmInstance(K2_RED, 1))) == (True, 0.0)
-    parity = cpm_via_em(EmInstance(C4_RED_02, 1),
-                        em_decider=lambda i: algebraic_em_decide(i, trials=2, seed=0))
-    assert yes_and_error(parity) == (False, 0.25)
+    # no EM decider returns a ParityDecision, so yes_and_error does not read one
+    with pytest.raises(TypeError, match="unknown EM decider result type: ParityDecision"):
+        yes_and_error(cpm_via_em(EmInstance(K2_RED, 1)))
     assert yes_and_error(True) == (True, 0.0)
     assert yes_and_error(False) == (False, 0.0)
     assert yes_and_error(()) == (True, 0.0)      # the empty witness on n = 0
     assert yes_and_error(None) == (False, 0.0)
+
+
+@pytest.mark.parametrize("result", [0, "no", Answer(False)], ids=["int", "str", "Answer"])
+def test_parity_via_em_rejects_a_decider_result_of_another_type(result):
+    # each of these once read as "yes": none is None or a bool, and an
+    # Answer, a NamedTuple, is a tuple
+    with pytest.raises(TypeError, match=f"unknown EM decider result type: {type(result).__name__}"):
+        cpm_via_em(EmInstance(K2_RED, 0), em_decider=lambda i: result)
 
 
 # every perfect matching has the three red edges, so BCPM at k = 2 asks

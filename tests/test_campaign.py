@@ -16,10 +16,11 @@ from dataclasses import replace
 import pytest
 
 import exactmatch.campaign as campaign
-from exactmatch.algebraic import find_bipartition, yes_and_error
+from exactmatch.algebraic import find_bipartition
 from exactmatch.campaign import (
     SWEEP_COLORINGS_CAP,
     SWEEP_N8_GRAPHS,
+    Answer,
     CampaignReport,
     Disagreement,
     exhaustive_instances,
@@ -252,7 +253,7 @@ def test_exhaustive_instances_n4_count_and_determinism():
 
 def test_exhaustive_instances_cost_guard():
     with pytest.raises(ValueError, match="at most 8"):
-        list(exhaustive_instances(10))
+        exhaustive_instances(10)
 
 
 def test_exhaustive_instances_n6_count():
@@ -262,7 +263,7 @@ def test_exhaustive_instances_n6_count():
 @pytest.mark.parametrize("max_n", [1, 0, -2])
 def test_exhaustive_instances_rejects_empty_sweep(max_n):
     with pytest.raises(ValueError, match="at least 2"):
-        list(exhaustive_instances(max_n))
+        exhaustive_instances(max_n)
 
 
 def test_colorings_all_when_cap_covers_them():
@@ -324,7 +325,7 @@ def test_every_solver_family_agrees_on_out_of_range_k():
             instance = EmInstance(graph, k)
             for problem in ("em", "cpm", "bcpm"):
                 answers = {
-                    engine: yes_and_error(solve(instance, 0, 40, None))[0]
+                    engine: solve(instance, 0, 40, None).yes
                     for (family, engine), (_, needs_bipartite, solve) in campaign.SOLVERS.items()
                     if family == problem and (bipartite or not needs_bipartite)}
                 assert len(answers) >= 2
@@ -534,7 +535,7 @@ def test_randomized_campaign_rejects_engine_sets_that_compare_nothing(engines):
 def test_randomized_campaign_reports_rigged_hard_disagreements(monkeypatch):
     monkeypatch.setitem(
         campaign.ENGINES, "always-yes",
-        ("em", False, lambda inst, seed, trials, budget: "yes"))
+        ("em", False, lambda inst, seed, trials, budget: Answer(True)))
     template = GenSpec(n=4, extra_edges=2, seed=37)
     report = randomized_campaign(60, template, engines=("brute-em", "always-yes"))
     assert report.disagreements
@@ -617,13 +618,13 @@ def test_randomized_campaign_rejects_arguments_that_are_not_ints(count, trials, 
 @pytest.mark.parametrize("max_n", [4.0, True])
 def test_exhaustive_instances_rejects_a_max_n_that_is_not_an_int(max_n):
     with pytest.raises(ValueError, match=f"max_n must be an int, got {max_n!r}"):
-        next(exhaustive_instances(max_n))
+        exhaustive_instances(max_n)
 
 
 def test_randomized_campaign_rigged_statistical_events(monkeypatch):
     monkeypatch.setitem(
         campaign.ENGINES, "hedger",
-        ("em", False, lambda inst, seed, trials, budget: "probably-no"))
+        ("em", False, lambda inst, seed, trials, budget: Answer(False, error_bound=0.5)))
     template = GenSpec(n=4, extra_edges=2, seed=41)
     report = randomized_campaign(60, template, engines=("brute-em", "hedger"))
     assert not report.disagreements
@@ -644,4 +645,4 @@ def test_randomized_campaign_is_replayable():
 
 def test_algebraic_no_after_many_trials_is_not_exact():
     k2_red = parse_em_instance("p em 2 1 0\ne 0 1 r\n")
-    assert campaign.ENGINES["algebraic"][2](k2_red, 0, 1100, None) == "probably-no"
+    assert campaign.ENGINES["algebraic"][2](k2_red, 0, 1100, None).verdict == "probably-no"

@@ -9,10 +9,15 @@ import pytest
 
 import exactmatch.campaign as campaign
 import exactmatch.cli as cli
-from exactmatch.algebraic import find_bipartition
+from exactmatch.algebraic import ParityDecision, find_bipartition
 from exactmatch.campaign import CampaignReport, Disagreement
 from exactmatch.cli import main
-from exactmatch.formats import format_em_instance, parse_em_instance, parse_tkpm_instance
+from exactmatch.formats import (
+    format_em_instance,
+    parse_em_instance,
+    parse_matching,
+    parse_tkpm_instance,
+)
 from exactmatch.generator import GenSpec, gen_instance
 from exactmatch.graphs import is_perfect_matching, red_count, top_k_weight, validate_instance
 
@@ -157,7 +162,7 @@ C6_ALTERNATING = "p em 6 6 {}\ne 0 1 r\ne 1 2 b\ne 2 3 r\ne 3 4 b\ne 4 5 r\ne 0 
 STAR_K0 = "p em 4 3 0\ne 0 1 r\ne 0 2 b\ne 0 3 b\n"
 # small bipartite inputs, so every engine runs on each of them
 TABLE_INPUTS = {
-    "em": [K2_RED_K1, K2_RED_K0, THREE_RED_K2S_K1, STAR_K0]
+    "em": [K2_RED_K1, K2_RED_K0, THREE_RED_K2S_K1, STAR_K0, "p em 0 0 0\n"]
           + [C6_ALTERNATING.format(k) for k in range(4)],
     "tkpm": ["p tkpm 4 4 1\ne 0 1 3\ne 1 2 0\ne 2 3 2\ne 0 3 0\n",
              "p tkpm 4 1 1\ne 0 1 5\n",
@@ -172,9 +177,10 @@ def perfect_matchings(graph):
             if is_perfect_matching(graph, m)]
 
 
-def brute_force_answer(problem, instance):
-    """(yes, tkpm optimum or None) from a plain scan of all perfect matchings."""
-    matchings = perfect_matchings(instance.graph)
+def brute_force_answer(problem, instance, *matchings):
+    """(yes, tkpm optimum or None) from a plain scan of all perfect matchings,
+    or of the given ones."""
+    matchings = matchings or perfect_matchings(instance.graph)
     k = instance.k
     if problem == "tkpm":
         values = [top_k_weight(instance.graph.weights, m, k) for m in matchings]
@@ -200,10 +206,34 @@ def test_every_solver_row_agrees_with_brute_force(tmp_path, capsys, problem, eng
         out = capsys.readouterr().out.splitlines()
         assert code == (0 if yes else 1), (text, out)
         assert out[0] == (f"value {best}" if best is not None else "yes" if yes else "no")
+        if yes and engine == "brute":
+            # the witness: a perfect matching that answers the problem
+            assert len(out) == 2, (text, out)
+            witness = parse_matching(out[1])
+            assert is_perfect_matching(instance.graph, witness)
+            if problem == "tkpm":
+                assert top_k_weight(instance.graph.weights, witness, instance.k) == best
+            else:
+                assert brute_force_answer(problem, instance, witness)[0], (text, out)
+        elif not yes and engine == "algebraic":
+            # 2^-trials after a sure no, 0 when the sides differ in size
+            exact = not find_bipartition(instance.graph).is_balanced
+            assert out[1:] == [f"error-bound {0 if exact else 2.0 ** -40:.3g}"], (text, out)
+        else:
+            assert len(out) == 1, (text, out)
         if name is not None:
-            verdict = campaign.ENGINES[name][2](instance, 0, 40, None)
-            assert (verdict == "yes") is yes, (name, text, verdict)
+            answer = campaign.ENGINES[name][2](instance, 0, 40, None)
+            assert answer.yes is yes, (name, text, answer)
     assert answers == {True, False}
+
+
+def test_solve_prints_the_error_bound_of_a_via_em_no(tmp_path, monkeypatch, capsys):
+    # with a randomized EM decider, a via-em "no" carries a union bound,
+    # which solve prints as it prints the algebraic row's
+    monkeypatch.setattr(campaign, "cpm_via_em", lambda inst: ParityDecision(False, 0.25, (1,)))
+    src = write(tmp_path, "in.em", K2_RED_K1)
+    assert main(["solve", "cpm", "--engine", "via-em", "--in", src]) == 1
+    assert capsys.readouterr().out == "no\nerror-bound 0.25\n"
 
 
 def test_solve_parse_error_carries_line_number(tmp_path, capsys):
@@ -343,7 +373,7 @@ def test_repeated_calls_in_one_process_keep_no_state(tmp_path, monkeypatch, caps
 
     def record(inst, seed, trials, budget):
         seeds.append(seed)
-        return None
+        return campaign.Answer(False)
 
     monkeypatch.setitem(cli.SOLVERS, ("em", "brute"), ("brute-em", False, record))
     assert main(["solve", "em", "--in", src, "--seed", "5"]) == 1
