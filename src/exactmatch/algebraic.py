@@ -94,10 +94,10 @@ class EmDecision:
     A True answer is certified. A False answer is "probably no" with the
     stated one-sided error bound, which stays positive however many trials
     ran; it is exact (bound 0.0, trials_run 0) only when the instance
-    structurally admits no perfect matching with k red edges (unequal
-    sides, k outside 0..n/2, or k above the number of red edges). The
-    transcript records, per trial, the GF(p) values drawn for the edges and
-    whether the inspected coefficient was nonzero.
+    structurally admits no perfect matching with k red edges (fewer than
+    n/2 edges, unequal sides, k outside 0..n/2, or k above the number of
+    red edges). The transcript records, per trial, the GF(p) values
+    drawn for the edges and whether the inspected coefficient was nonzero.
     """
 
     answer: bool
@@ -120,6 +120,10 @@ class ParityDecision:
 
     def __bool__(self) -> bool:
         return self.answer
+
+
+class NotBipartite(ValueError):
+    """The algebraic decider was given a graph with an odd cycle."""
 
 
 def find_bipartition(graph: ColoredGraph) -> Optional[Bipartition]:
@@ -450,19 +454,22 @@ def algebraic_em_decide(
         ) -> EmDecision:
     """One-sided Monte Carlo decision of exact matching on a bipartite graph.
 
-    Raises ValueError on non-bipartite input, for which brute_em serves,
-    and for trials that are not an int of at least 1 (a bool is not one).
-    Identical (instance, trials, seed) always reproduce the same transcript.
+    Raises NotBipartite on non-bipartite input, for which brute_em serves,
+    and ValueError for trials that are not an int of at least 1 (a bool is
+    not one). Identical (instance, trials, seed) reproduce one transcript.
     """
     if type(trials) is not int:
         raise ValueError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be positive")
     graph, k = instance.graph, instance.k
+    exact_no = EmDecision(answer=False, error_bound=0.0, trials_run=0, transcript=())
+    if 2 * len(graph.edges) < graph.n:
+        # some vertex has no edge, found before any per-vertex work
+        return exact_no
     bipartition = find_bipartition(graph)
     if bipartition is None:
-        raise ValueError("graph is not bipartite; use brute_em instead")
-    exact_no = EmDecision(answer=False, error_bound=0.0, trials_run=0, transcript=())
+        raise NotBipartite("graph is not bipartite; use brute_em instead")
     if not bipartition.is_balanced:
         # unequal sides cannot be perfectly matched
         return exact_no

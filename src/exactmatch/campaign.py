@@ -9,9 +9,9 @@ feasible k, and runs the ENGINES rows brute-em (the brute-force oracle)
 and via-tkpm (the gadget-reduction decider) on it. randomized_campaign
 compares any subset of ENGINES on generated instances.
 
-SOLVERS is the one engine table: `exactmatch solve` looks engines up in it,
-and ENGINES, the named engines the campaigns run, holds its row callables,
-each of which returns an Answer built from its engine's own result.
+SOLVERS is the one engine table, read by `exactmatch solve`; ENGINES, the
+campaigns' named engines, holds each one's family and row callable, which
+returns an Answer or raises NotBipartite to sit an instance out.
 
 Comparison convention: an answer is exact unless it is a "no" with a
 positive error bound, a "probably no". One from a randomized engine against
@@ -37,12 +37,9 @@ from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .algebraic import (
-    algebraic_em_decide,
-    bcpm_via_em,
-    cpm_via_em,
-    find_bipartition,
-)
+from .algebraic import NotBipartite, algebraic_em_decide, bcpm_via_em, cpm_via_em
+# kept for bench/tracing.py, which wraps it here; algebraic_em_decide calls its own
+from .algebraic import find_bipartition  # noqa: F401
 from .engines import (
     BudgetExhausted,
     EnumerationBudget,
@@ -264,7 +261,8 @@ def exhaustive_instances(max_n: int, seed: int = 0) -> Iterator[EmInstance]:
 
 
 class Answer(NamedTuple):
-    """What every SOLVERS row returns, built once from its engine's result."""
+    """What every SOLVERS row returns, built once from its engine's own
+    result. A randomized engine gives an error bound on every answer."""
 
     yes: bool
     witness: Optional[Matching] = None      # when the engine gives one
@@ -278,33 +276,32 @@ class Answer(NamedTuple):
 
 
 # (problem, `solve --engine` name) -> (campaign engine name or None,
-# bipartite-only, solve(instance, seed, trials, budget) -> Answer): the one
-# place to add an engine or to read its result. Each callable uses only the
-# options its engine has, and looks the engine up in this module at call
-# time. A via-em row gives a zero bound as None: brute_em decides exactly.
-SOLVERS: dict[tuple[str, str], tuple[Optional[str], bool, Callable[..., Answer]]] = {
-    ("em", "brute"): ("brute-em", False, lambda inst, seed, trials, budget:
+# solve(instance, seed, trials, budget) -> Answer): the one place to add an
+# engine or to read its result. Each callable uses only the options its
+# engine has and looks the engine up here at call time; the algebraic one
+# raises NotBipartite. A via-em row gives a zero bound as None: it is exact.
+SOLVERS: dict[tuple[str, str], tuple[Optional[str], Callable[..., Answer]]] = {
+    ("em", "brute"): ("brute-em", lambda inst, seed, trials, budget:
                       Answer((w := brute_em(inst, budget)) is not None, w)),
-    ("em", "via-tkpm"): ("via-tkpm", False, lambda inst, seed, trials, budget:
+    ("em", "via-tkpm"): ("via-tkpm", lambda inst, seed, trials, budget:
                          Answer(decide_em_via_tkpm(inst, budget))),
-    ("em", "algebraic"): ("algebraic", True, lambda inst, seed, trials, budget: Answer(
+    ("em", "algebraic"): ("algebraic", lambda inst, seed, trials, budget: Answer(
         (d := algebraic_em_decide(inst, trials, seed)).answer, error_bound=d.error_bound)),
-    ("tkpm", "brute"): (None, False, lambda inst, seed, trials, budget:
+    ("tkpm", "brute"): (None, lambda inst, seed, trials, budget:
                         Answer(False) if (r := brute_tkpm(inst)) is None else Answer(True, *r)),
-    ("cpm", "brute"): ("brute-cpm", False, lambda inst, seed, trials, budget:
+    ("cpm", "brute"): ("brute-cpm", lambda inst, seed, trials, budget:
                        Answer((w := brute_cpm(inst)) is not None, w)),
-    ("cpm", "via-em"): ("cpm-via-em", False, lambda inst, seed, trials, budget:
+    ("cpm", "via-em"): ("cpm-via-em", lambda inst, seed, trials, budget:
                         Answer((d := cpm_via_em(inst)).answer, error_bound=d.error_bound or None)),
-    ("bcpm", "brute"): (None, False, lambda inst, seed, trials, budget:
+    ("bcpm", "brute"): (None, lambda inst, seed, trials, budget:
                         Answer((w := brute_bcpm(inst)) is not None, w)),
-    ("bcpm", "via-em"): (None, False, lambda inst, seed, trials, budget:
+    ("bcpm", "via-em"): (None, lambda inst, seed, trials, budget:
                          Answer((d := bcpm_via_em(inst)).answer, error_bound=d.error_bound or None)),
 }
 
-# name -> (problem family, bipartite-only, the SOLVERS row callable)
-ENGINES: dict[str, tuple[str, bool, Callable[..., Answer]]] = {
-    name: (problem, bipartite, solve)
-    for (problem, _), (name, bipartite, solve) in SOLVERS.items() if name is not None}
+# name -> (problem family, the SOLVERS row callable)
+ENGINES: dict[str, tuple[str, Callable[..., Answer]]] = {
+    name: (problem, solve) for (problem, _), (name, solve) in SOLVERS.items() if name is not None}
 
 
 def _cross_check(cases, engines: dict, trials: int,
@@ -313,8 +310,8 @@ def _cross_check(cases, engines: dict, trials: int,
 
     cases yields (instance id, instance, seed or None); engines maps a name
     to an ENGINES entry, and each runner gets the case's seed, trials, budget.
-    Bipartite-only engines sit out non-bipartite instances, and detection
-    counts their yes answers on instances an exact engine answered yes.
+    An engine that raises NotBipartite sits the instance out. Detection
+    tallies bounded EM answers on instances the first unbounded one calls yes.
     Answers are compared pairwise within a problem family, keeping at most
     one hard and one statistical Disagreement per instance. An engine that
     raises any other exception than BudgetExhausted makes the instance's
@@ -329,24 +326,22 @@ def _cross_check(cases, engines: dict, trials: int,
     statistical: list[Disagreement] = []
     notes: list[str] = []
     seconds = dict.fromkeys(engines, 0.0)
-    bipartite_only = [name for name, (_, needs, _) in engines.items() if needs]
-    detected = dict.fromkeys(bipartite_only, 0)
-    yes_total = dict.fromkeys(bipartite_only, 0)
+    detected: dict[str, int] = {}
+    yes_total: dict[str, int] = {}
     run = skipped = 0
 
     for iid, instance, case_seed in cases:
-        bipartite = bool(bipartite_only) and find_bipartition(instance.graph) is not None
         # (name, family, Answer, seconds) of each engine that answered, and
         # (name, family, "raised <exception type>", seconds) of each that raised
         answers: list[tuple[str, str, Answer, float]] = []
         crashes: list[tuple[str, str, str, float]] = []
         exhausted: Optional[BudgetExhausted] = None
-        for name, (family, needs_bipartite, runner) in engines.items():
-            if needs_bipartite and not bipartite:
-                continue
+        for name, (family, runner) in engines.items():
             t0 = time.perf_counter()
             try:
                 answer = runner(instance, case_seed, trials, budget)
+            except NotBipartite:
+                continue
             except BudgetExhausted as exc:
                 exhausted = exc
                 break
@@ -391,14 +386,13 @@ def _cross_check(cases, engines: dict, trials: int,
             statistical.append(found["statistical"])
 
         # Detection bookkeeping against exact ground truth, when present.
-        truth = next((a.yes for n_, f_, a, _ in answers if f_ == "em"
-                      and (a.yes or not a.error_bound) and n_ not in yes_total), None)
+        truth = next((a.yes for _, f_, a, _ in answers
+                      if f_ == "em" and a.error_bound is None), None)
         if truth:
             for name, family, answer, _ in answers:
-                if name in yes_total and family == "em":
-                    yes_total[name] += 1
-                    if answer.yes:
-                        detected[name] += 1
+                if family == "em" and answer.error_bound is not None:
+                    yes_total[name] = yes_total.get(name, 0) + 1
+                    detected[name] = detected.get(name, 0) + answer.yes
 
     return CampaignReport(
         instances_run=run,
@@ -439,16 +433,16 @@ def randomized_campaign(
         ) -> CampaignReport:
     """Generate count instances from the template (seed advancing by one per
     instance) and cross-check the named engines pairwise within each problem
-    family. Bipartite-only engines sit out non-bipartite instances, and an
-    instance on which that leaves nothing to compare counts as skipped,
-    not run. Raises ValueError for a count that is not a non-negative int,
+    family. An engine that raises NotBipartite sits an instance out, and
+    one on which that leaves nothing to compare counts as skipped, not
+    run. Raises ValueError for a count that is not a non-negative int,
     trials that are not an int of at least 1, an unknown or repeated engine
     name, and when no problem family has two of the named engines, since
     nothing would be compared.
 
-    The detection field reports, for each randomized engine, how many
-    brute-force-confirmed yes instances it answered yes on, which is the
-    empirical single-run detection rate when trials=1.
+    The detection field reports, for each randomized engine (its EM answers
+    carry an error bound), how many yes instances, by the first exact EM
+    answer, it answered yes on: the single-run detection rate at trials=1.
     """
     if type(count) is not int:
         raise ValueError(f"count must be an int, got {count!r}")

@@ -116,7 +116,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
               f"{args.problem} (choose from {', '.join(choices)})", file=sys.stderr)
         return 2
     parse = parse_tkpm_instance if args.problem == "tkpm" else parse_em_instance
-    answer = row[2](_read_instance(args.infile, parse), args.seed, args.trials, None)
+    answer = row[1](_read_instance(args.infile, parse), args.seed, args.trials, None)
     if not answer.yes:
         print("no")
         if answer.error_bound is not None:

@@ -107,7 +107,8 @@ def _iter_unordered(graph: Graph,
     or more, so the vertex is never forced, and the branch skips it.
     """
     n = graph.n
-    if n % 2:
+    if n % 2 or 2 * len(graph.edges) < n:
+        # odd n, or a vertex without an edge (2m < n): before per-vertex work
         return
     adj = graph.adjacency
     edges = graph.edges

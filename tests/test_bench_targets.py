@@ -25,5 +25,6 @@ def test_every_traced_target_resolves():
 def test_campaign_engine_set_is_the_benchmarked_one():
     assert list(campaign.ENGINES) == [
         "brute-em", "via-tkpm", "algebraic", "brute-cpm", "cpm-via-em"]
-    # (problem family, bipartite-only, the SOLVERS row callable)
-    assert all(len(entry) == 3 for entry in campaign.ENGINES.values())
+    # (problem family, the SOLVERS row callable): an engine that cannot
+    # decide an instance says so by raising NotBipartite, not by a flag
+    assert all(len(entry) == 2 for entry in campaign.ENGINES.values())

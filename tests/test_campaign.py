@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import pytest
 
+import exactmatch.algebraic as algebraic
 import exactmatch.campaign as campaign
 from exactmatch.algebraic import find_bipartition
 from exactmatch.campaign import (
@@ -33,7 +34,15 @@ from exactmatch.campaign import (
 from exactmatch.engines import EnumerationBudget, brute_em
 from exactmatch.formats import format_em_instance, parse_em_instance
 from exactmatch.generator import GenSpec, gen_instance
-from exactmatch.graphs import BLUE, RED, ColoredGraph, EmInstance, validate_instance
+from exactmatch.graphs import (
+    BLUE,
+    RED,
+    ColoredGraph,
+    EmInstance,
+    TkpmInstance,
+    WeightedGraph,
+    validate_instance,
+)
 from exactmatch.reduction import decide_em_via_tkpm
 
 
@@ -326,8 +335,8 @@ def test_every_solver_family_agrees_on_out_of_range_k():
             for problem in ("em", "cpm", "bcpm"):
                 answers = {
                     engine: solve(instance, 0, 40, None).yes
-                    for (family, engine), (_, needs_bipartite, solve) in campaign.SOLVERS.items()
-                    if family == problem and (bipartite or not needs_bipartite)}
+                    for (family, engine), (_, solve) in campaign.SOLVERS.items()
+                    if family == problem and (bipartite or engine != "algebraic")}
                 assert len(answers) >= 2
                 assert len(set(answers.values())) == 1, (
                     problem, answers, format_em_instance(instance))
@@ -341,7 +350,7 @@ def test_every_colored_solver_rejects_an_unknown_color(row):
     # the tkpm row reads a weighted graph, which has no colors; every other
     # row reads a colored one, and none may take "x" for blue
     instance = EmInstance(ColoredGraph(2, ((1, 0, "x"),)), 0)
-    solve = campaign.SOLVERS[row][2]
+    solve = campaign.SOLVERS[row][1]
     with pytest.raises(ValueError, match="unknown color 'x' at edge 0"):
         solve(instance, 0, 1, None)
 
@@ -535,7 +544,7 @@ def test_randomized_campaign_rejects_engine_sets_that_compare_nothing(engines):
 def test_randomized_campaign_reports_rigged_hard_disagreements(monkeypatch):
     monkeypatch.setitem(
         campaign.ENGINES, "always-yes",
-        ("em", False, lambda inst, seed, trials, budget: Answer(True)))
+        ("em", lambda inst, seed, trials, budget: Answer(True)))
     template = GenSpec(n=4, extra_edges=2, seed=37)
     report = randomized_campaign(60, template, engines=("brute-em", "always-yes"))
     assert report.disagreements
@@ -550,14 +559,14 @@ def test_randomized_campaign_reports_rigged_hard_disagreements(monkeypatch):
 
 
 def test_randomized_campaign_reports_crashing_engines_and_goes_on(monkeypatch):
-    brute = campaign.ENGINES["brute-em"][2]
+    brute = campaign.ENGINES["brute-em"][1]
 
     def crash_on_odd_k(inst, seed, trials, budget):
         if inst.k % 2:
             raise IndexError("planted fault")
         return brute(inst, seed, trials, budget)
 
-    monkeypatch.setitem(campaign.ENGINES, "crasher", ("em", False, crash_on_odd_k))
+    monkeypatch.setitem(campaign.ENGINES, "crasher", ("em", crash_on_odd_k))
     template = GenSpec(n=4, extra_edges=2, seed=37)
     report = randomized_campaign(60, template, engines=("crasher", "brute-em"))
     odd = {i for i in range(60) if gen_instance(replace(template, seed=template.seed + i)).k % 2}
@@ -624,7 +633,7 @@ def test_exhaustive_instances_rejects_a_max_n_that_is_not_an_int(max_n):
 def test_randomized_campaign_rigged_statistical_events(monkeypatch):
     monkeypatch.setitem(
         campaign.ENGINES, "hedger",
-        ("em", False, lambda inst, seed, trials, budget: Answer(False, error_bound=0.5)))
+        ("em", lambda inst, seed, trials, budget: Answer(False, error_bound=0.5)))
     template = GenSpec(n=4, extra_edges=2, seed=41)
     report = randomized_campaign(60, template, engines=("brute-em", "hedger"))
     assert not report.disagreements
@@ -645,4 +654,87 @@ def test_randomized_campaign_is_replayable():
 
 def test_algebraic_no_after_many_trials_is_not_exact():
     k2_red = parse_em_instance("p em 2 1 0\ne 0 1 r\n")
-    assert campaign.ENGINES["algebraic"][2](k2_red, 0, 1100, None).verdict == "probably-no"
+    assert campaign.ENGINES["algebraic"][1](k2_red, 0, 1100, None).verdict == "probably-no"
+
+
+def test_every_solver_row_bounds_every_answer_or_none():
+    # the contract detection reads: an exact row never gives a bound, and a
+    # randomized row gives one on every answer, 0.0 on a certified yes
+    k2_red = ColoredGraph(2, ((0, 1, RED),))
+    path = WeightedGraph(4, ((0, 1, 5), (1, 2, 1), (2, 3, 4)))
+    star = WeightedGraph(4, ((0, 1, 5), (0, 2, 1)))     # no perfect matching
+    for (problem, engine), (_, solve) in campaign.SOLVERS.items():
+        if problem == "tkpm":
+            yes, no = TkpmInstance(path, 1), TkpmInstance(star, 1)
+        else:
+            yes, no = EmInstance(k2_red, 1), EmInstance(k2_red, 0)
+        a, b = solve(yes, 0, 40, None), solve(no, 0, 40, None)
+        assert (a.yes, b.yes) == (True, False), (problem, engine)
+        if engine == "algebraic":
+            assert a.error_bound == 0.0 and b.error_bound == 2.0 ** -40
+        else:
+            assert a.error_bound is None and b.error_bound is None, (problem, engine)
+
+
+def test_detection_counts_bounded_answers_against_the_first_unbounded_one(monkeypatch):
+    brute = campaign.ENGINES["brute-em"][1]
+
+    def bounded(inst, seed, trials, budget):
+        # brute-em's verdicts, each carrying a bound as a randomized engine's do
+        answer = brute(inst, seed, trials, budget)
+        return answer._replace(error_bound=0.0 if answer.yes else 0.5)
+
+    monkeypatch.setitem(campaign.ENGINES, "bounded", ("em", bounded))
+    monkeypatch.setitem(campaign.ENGINES, "always-yes",
+                        ("em", lambda inst, seed, trials, budget: Answer(True)))
+    template = GenSpec(n=4, extra_edges=2, seed=37)
+    yes = sum(brute_em(gen_instance(replace(template, seed=template.seed + i))) is not None
+              for i in range(60))
+    assert 0 < yes < 60
+    report = randomized_campaign(60, template, engines=("brute-em", "bounded"))
+    assert report.ok and not report.statistical_events
+    assert report.detection == (("bounded", yes, yes),)
+    # an unbounded stub is the truth, whatever it says: here every instance is a yes
+    report = randomized_campaign(60, template, engines=("always-yes", "bounded"))
+    assert report.ok and len(report.statistical_events) == 60 - yes
+    assert report.detection == (("bounded", yes, 60),)
+    # with no bounded engine there is nothing to detect
+    report = randomized_campaign(60, template, engines=("always-yes", "brute-em"))
+    assert report.detection == ()
+
+
+def test_an_algebraic_row_that_drops_its_bound_turns_misses_hard(monkeypatch):
+    # every draw zero: every trial misses, so each yes instance is a miss
+    monkeypatch.setattr(algebraic, "_draw", lambda rng, m: (0,) * m)
+    template = GenSpec(n=6, extra_edges=3, seed=17, bipartite=True)
+    engines = ("brute-em", "algebraic")
+    honest = randomized_campaign(40, template, engines=engines, trials=1)
+    misses = {e.instance_id for e in honest.statistical_events}
+    assert misses and not honest.disagreements
+    assert honest.detection == (("algebraic", 0, len(misses)),)
+    row = campaign.ENGINES["algebraic"][1]
+    monkeypatch.setitem(campaign.ENGINES, "algebraic", (
+        "em", lambda inst, seed, trials, budget:
+        row(inst, seed, trials, budget)._replace(error_bound=None)))
+    mutant = randomized_campaign(40, template, engines=engines, trials=1)
+    assert not mutant.statistical_events
+    assert {d.instance_id for d in mutant.disagreements} == misses
+    assert all(d.kind == "hard" for d in mutant.disagreements)
+
+
+def test_the_campaign_looks_for_each_bipartition_once(monkeypatch):
+    graphs = []
+
+    def counted(graph):
+        graphs.append(graph)
+        return find_bipartition(graph)
+
+    monkeypatch.setattr(campaign, "find_bipartition", counted)
+    monkeypatch.setattr(algebraic, "find_bipartition", counted)
+    template = GenSpec(n=4, extra_edges=2, seed=3)
+    report = randomized_campaign(60, template, engines=("brute-em", "algebraic"))
+    bipartite = sum(find_bipartition(graph) is not None for graph in graphs)
+    assert 0 < bipartite < 60   # a mixed stream
+    assert len(graphs) == 60
+    # the algebraic engine sits out the odd cycles, leaving nothing to compare
+    assert (report.instances_run, report.skipped) == (bipartite, 60 - bipartite)

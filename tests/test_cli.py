@@ -222,7 +222,7 @@ def test_every_solver_row_agrees_with_brute_force(tmp_path, capsys, problem, eng
         else:
             assert len(out) == 1, (text, out)
         if name is not None:
-            answer = campaign.ENGINES[name][2](instance, 0, 40, None)
+            answer = campaign.ENGINES[name][1](instance, 0, 40, None)
             assert answer.yes is yes, (name, text, answer)
     assert answers == {True, False}
 
@@ -375,7 +375,7 @@ def test_repeated_calls_in_one_process_keep_no_state(tmp_path, monkeypatch, caps
         seeds.append(seed)
         return campaign.Answer(False)
 
-    monkeypatch.setitem(cli.SOLVERS, ("em", "brute"), ("brute-em", False, record))
+    monkeypatch.setitem(cli.SOLVERS, ("em", "brute"), ("brute-em", record))
     assert main(["solve", "em", "--in", src, "--seed", "5"]) == 1
     assert main(["solve", "em", "--in", src]) == 1
     assert seeds == [5, None]

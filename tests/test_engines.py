@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import tracemalloc
 from functools import lru_cache
 
 import pytest
 
 from exactmatch import engines
+from exactmatch.algebraic import EmDecision, algebraic_em_decide
 from exactmatch.engines import (
     BudgetExhausted,
     EnumerationBudget,
@@ -632,3 +634,26 @@ def test_brute_tkpm_with_hundreds_of_weight_classes():
         assert brute_tkpm(TkpmInstance(g, k)) == best, k
         assert tkpm_reaches(TkpmInstance(g, k), best[1])
         assert not tkpm_reaches(TkpmInstance(g, k), best[1] + 1)
+
+
+def test_a_header_vertex_count_does_not_decide_memory():
+    # an edgeless graph on a million vertices: fewer than n/2 edges leave
+    # some vertex without one, which every engine sees before it builds
+    # anything per vertex (adjacency lists, a bipartition)
+    n = 1_000_000
+    calls = [
+        (lambda: has_perfect_matching(ColoredGraph(n, ())), False),
+        (lambda: brute_em(EmInstance(ColoredGraph(n, ()), 0)), None),
+        (lambda: brute_tkpm(TkpmInstance(WeightedGraph(n, ()), 3)), None),
+        (lambda: algebraic_em_decide(EmInstance(ColoredGraph(n, ()), 0), trials=1, seed=0),
+         EmDecision(answer=False, error_bound=0.0, trials_run=0, transcript=())),
+    ]
+    for call, expected in calls:
+        tracemalloc.start()
+        try:
+            result = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result == expected
+        assert peak < 2**20, f"{peak / 2**20:.1f} MiB"
