@@ -454,9 +454,9 @@ def algebraic_em_decide(
         ) -> EmDecision:
     """One-sided Monte Carlo decision of exact matching on a bipartite graph.
 
-    Raises NotBipartite on non-bipartite input, for which brute_em serves,
-    and ValueError for trials that are not an int of at least 1 (a bool is
-    not one). Identical (instance, trials, seed) reproduce one transcript.
+    Raises NotBipartite on a non-bipartite graph no exact "no" settles first
+    (brute_em serves it), and ValueError for trials not an int of at least
+    1 (a bool is not one). Same (instance, trials, seed), same transcript.
     """
     if type(trials) is not int:
         raise ValueError(f"trials must be an int, got {trials!r}")
@@ -464,8 +464,8 @@ def algebraic_em_decide(
         raise ValueError("trials must be positive")
     graph, k = instance.graph, instance.k
     exact_no = EmDecision(answer=False, error_bound=0.0, trials_run=0, transcript=())
-    if 2 * len(graph.edges) < graph.n:
-        # some vertex has no edge, found before any per-vertex work
+    if 2 * len(graph.edges) < graph.n or not red_counts("em", instance):
+        # some vertex has no edge, or red_counts rules k out: before any work
         return exact_no
     bipartition = find_bipartition(graph)
     if bipartition is None:
@@ -478,9 +478,8 @@ def algebraic_em_decide(
     # a perfect matching has n/2 edges, so the determinant's degree in y is
     # at most min(n/2, red edges)
     degree = min(size, sum(red for _, _, red in cells))
-    if not 0 <= k <= degree:
-        # no perfect matching has fewer than 0 red edges, or more than n/2
-        # or than the graph has
+    if k > degree:
+        # no perfect matching has more red edges than the graph has
         return exact_no
     layout = _Layout.of(cells, size)
     # outside a parity decision, the vectors are shared with no one

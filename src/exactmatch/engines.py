@@ -24,8 +24,8 @@ edges, without a scan, and yields its live state there. The brute solvers
 read the red count and the TkPM engines the top-k weight from the counts,
 and each sorts only the matching it keeps into a tuple;
 enumerate_perfect_matchings sorts every one. Which red counts answer EM,
-CPM and BCPM is one rule, red_counts, which the via-EM route in algebraic
-reads as well.
+CPM and BCPM is one rule, red_counts, which every engine of the three
+reads; when it leaves no red count, none of them searches.
 
 The TkPM decision form, tkpm_reaches, stops at the first perfect matching
 that reaches a threshold; brute_tkpm is the optimisation oracle that ranks
@@ -305,15 +305,16 @@ def tkpm_reaches(instance: TkpmInstance, threshold: int,
 
 def red_counts(problem: str, instance: EmInstance) -> range:
     """The red counts of the perfect matchings that answer the problem
-    yes, for the SOLVERS problem names em, cpm and bcpm: exactly k for
-    em; for cpm every count of k's parity up to n/2, the most a perfect
-    matching holds; for bcpm the same, none above k. The brute solvers test
-    a leaf's red count against this range, and the via-EM route asks EM
-    at each count in it, in order. Raises ValueError for any other name."""
+    yes, for the SOLVERS problem names em, cpm and bcpm, all in 0..n/2 (a
+    perfect matching has n/2 edges): k for em, or none for a k outside;
+    for cpm every count of k's parity; for bcpm the same, none above k. The
+    brute solvers test a leaf's red count against the range, and the via-EM
+    route asks EM at each count in order. An empty range is a "no" that
+    every engine gives without a search. Raises ValueError for other names."""
     k = instance.k
-    if problem == "em":
-        return range(k, k + 1)
     most = instance.graph.n // 2
+    if problem == "em":
+        return range(k, k + 1 if 0 <= k <= most else k)
     if problem == "bcpm":
         most = min(k, most)
     elif problem != "cpm":
@@ -324,8 +325,8 @@ def red_counts(problem: str, instance: EmInstance) -> range:
 def _brute_first(instance: EmInstance, wanted: range,
                  budget: Optional[EnumerationBudget] = None) -> Optional[Matching]:
     """First perfect matching in canonical order whose red count is in
-    wanted, or None."""
-    for chosen, counts in _leaves(instance.graph, budget):
+    wanted, or None, which an empty wanted gives without a search."""
+    for chosen, counts in _leaves(instance.graph, budget) if wanted else ():
         if counts[1] in wanted:
             return tuple(sorted(chosen))
     return None

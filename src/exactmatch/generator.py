@@ -10,7 +10,9 @@ reproducible from the seed alone.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .graphs import BLUE, RED, ColoredGraph, EmInstance
 
@@ -63,8 +65,7 @@ def gen_instance(spec: GenSpec) -> EmInstance:
         partners = list(range(half, n))
         rng.shuffle(partners)
         planted = {(i, partners[i]) for i in range(half)}
-        candidates = [(u, v) for u in range(half) for v in range(half, n)
-                      if (u, v) not in planted]
+        lows = [half] * half
     else:
         order = list(range(n))
         rng.shuffle(order)
@@ -72,11 +73,20 @@ def gen_instance(spec: GenSpec) -> EmInstance:
         for i in range(half):
             u, v = order[2 * i], order[2 * i + 1]
             planted.add((min(u, v), max(u, v)))
-        candidates = [(u, v) for u in range(n) for v in range(u + 1, n)
-                      if (u, v) not in planted]
+        lows = range(1, n + 1)
 
-    extras = rng.sample(candidates, spec.extra_edges)
-    pairs = sorted(planted | set(extras))
+    # The candidates, every unplanted pair (u, v) in ascending order, form
+    # one row per u: v from lows[u] to n - 1, skipping u's planted mate.
+    # Sampling their indices draws what sampling a list of them would, and
+    # each index is decoded through the row starts.
+    mate = dict(planted)   # lower end -> upper end of each planted pair
+    starts = list(accumulate((n - lo - (u in mate) for u, lo in enumerate(lows)), initial=0))
+    extras = set()
+    for x in rng.sample(range(spec.max_extra_edges()), spec.extra_edges):
+        u = bisect_right(starts, x) - 1
+        v = lows[u] + x - starts[u]
+        extras.add((u, v + (mate.get(u, n) <= v)))
+    pairs = sorted(planted | extras)
     edges = tuple((u, v, RED if rng.random() < spec.red_prob else BLUE)
                   for u, v in pairs)
     k = rng.randint(0, half)

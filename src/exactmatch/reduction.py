@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
-from .engines import EnumerationBudget, tkpm_reaches
+from .engines import EnumerationBudget, red_counts, tkpm_reaches
 # brute_tkpm is imported here only because bench/tracing.TARGETS wraps
 # reduction.brute_tkpm
 from .engines import brute_tkpm  # noqa: F401
@@ -178,10 +178,10 @@ def decide_em_via_tkpm(instance: EmInstance,
     forced edges are settled in one initial forced-move pass, before any
     branching. Since no gadget matching exceeds the threshold, a first hit
     is also optimal. A gadget without any perfect matching decides no, and
-    so does a negative k, since no matching has fewer than 0 red edges.
+    so does a k that red_counts rules out, with no gadget built.
     Budget exhaustion propagates.
     """
-    if instance.k < 0:
+    if not red_counts("em", instance):
         return False
     gadget, gadget_map = gadgetize(instance)
     return tkpm_reaches(gadget, gadget_map.threshold, budget)

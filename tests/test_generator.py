@@ -1,12 +1,43 @@
 """Instance generator tests: shape, determinism, and solvable-by-design."""
 
 import random
+import tracemalloc
 
 import pytest
 
 from exactmatch.engines import has_perfect_matching
-from exactmatch.generator import GenSpec, gen_instance
-from exactmatch.graphs import RED, validate, validate_instance
+from exactmatch.generator import GenSpec, _check_spec, gen_instance
+from exactmatch.graphs import BLUE, RED, ColoredGraph, EmInstance, validate, validate_instance
+
+
+def reference_gen_instance(spec):
+    """The list-based sampler gen_instance used to run: every candidate
+    pair is listed, in ascending order, and the extras are sampled from
+    the list. The same rng draws in the same order give the same instance."""
+    _check_spec(spec)
+    rng = random.Random(spec.seed)
+    n, half = spec.n, spec.n // 2
+    if spec.bipartite:
+        partners = list(range(half, n))
+        rng.shuffle(partners)
+        planted = {(i, partners[i]) for i in range(half)}
+        candidates = [(u, v) for u in range(half) for v in range(half, n)
+                      if (u, v) not in planted]
+    else:
+        order = list(range(n))
+        rng.shuffle(order)
+        planted = set()
+        for i in range(half):
+            u, v = order[2 * i], order[2 * i + 1]
+            planted.add((min(u, v), max(u, v)))
+        candidates = [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if (u, v) not in planted]
+    extras = rng.sample(candidates, spec.extra_edges)
+    pairs = sorted(planted | set(extras))
+    edges = tuple((u, v, RED if rng.random() < spec.red_prob else BLUE)
+                  for u, v in pairs)
+    k = rng.randint(0, half)
+    return EmInstance(ColoredGraph(n, edges), k)
 
 
 def test_minimal_spec_all_red():
@@ -97,3 +128,34 @@ def test_spec_is_frozen():
     spec = GenSpec(n=4)
     with pytest.raises(Exception):
         spec.n = 6
+
+
+@pytest.mark.parametrize("bipartite", [False, True], ids=["general", "bipartite"])
+def test_instances_equal_the_list_based_sampler_at_small_n(bipartite):
+    for n in range(2, 21, 2):
+        most = GenSpec(n=n, bipartite=bipartite).max_extra_edges()
+        for extra in sorted({0, min(1, most), most // 2, most}):
+            for seed in range(40):
+                spec = GenSpec(n=n, extra_edges=extra, red_prob=0.3, seed=seed,
+                               bipartite=bipartite)
+                assert gen_instance(spec) == reference_gen_instance(spec), spec
+
+
+@pytest.mark.parametrize("n, extra, bipartite", [
+    (600, 20, False), (600, 5000, True), (1000, 1000, False), (1200, 50_000, True)])
+def test_instances_equal_the_list_based_sampler_at_large_n(n, extra, bipartite):
+    for seed in range(2):
+        spec = GenSpec(n=n, extra_edges=extra, seed=seed, bipartite=bipartite)
+        assert gen_instance(spec) == reference_gen_instance(spec), spec
+
+
+def test_a_few_extras_on_many_vertices_take_little_memory():
+    # a list of every candidate pair of 2,000 vertices would take 183 MiB
+    tracemalloc.start()
+    try:
+        inst = gen_instance(GenSpec(n=2000, extra_edges=20, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(inst.graph.edges) == 1020
+    assert peak < 4 << 20, peak

@@ -5,17 +5,22 @@ solvers and the via-EM route both read it. These tests hold it to the
 rules written out longhand (a predicate per problem for the brute
 solvers, and the queried range with its top for the via-EM route), on
 graphs with odd n, self-loops and parallel edges and on k outside 0..n/2,
-and compare BCPM's two engines over the exhaustive stream.
+and compare BCPM's two engines over the exhaustive stream. An empty range
+is a "no" that no engine searches or builds a gadget for.
 """
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
+import exactmatch.engines as engines
+import exactmatch.reduction as reduction
 from exactmatch.algebraic import algebraic_em_decide, bcpm_via_em, cpm_via_em, yes_and_error
 from exactmatch.campaign import exhaustive_instances
 from exactmatch.engines import (
+    EnumerationBudget,
     brute_bcpm,
     brute_cpm,
     brute_em,
@@ -23,6 +28,7 @@ from exactmatch.engines import (
     red_counts,
 )
 from exactmatch.graphs import BLUE, RED, ColoredGraph, EmInstance, red_count
+from exactmatch.reduction import decide_em_via_tkpm
 
 # the red counts that answer each problem, as a predicate of (r, k)
 REFERENCE_ACCEPT = {
@@ -100,6 +106,9 @@ def test_red_counts_examples():
     assert list(red_counts("cpm", EmInstance(six.graph, -2))) == [0, 2]
     assert list(red_counts("bcpm", EmInstance(six.graph, -2))) == []
     assert list(red_counts("bcpm", EmInstance(six.graph, 5))) == [1, 3]
+    assert red_counts("em", EmInstance(six.graph, 3)) == range(3, 4)
+    assert list(red_counts("em", EmInstance(six.graph, -1))) == []
+    assert list(red_counts("em", EmInstance(six.graph, 4))) == []
     with pytest.raises(ValueError, match="no red-count rule for problem 'tkpm'"):
         red_counts("tkpm", six)
 
@@ -185,3 +194,95 @@ def test_bcpm_engines_agree_on_every_exhaustive_instance_up_to_n4():
 def test_bcpm_engines_agree_on_a_sample_of_the_n6_stream():
     sample = random.Random(2004).sample(list(exhaustive_instances(6)), 3000)
     assert_bcpm_engines_agree(sample)
+
+
+def squares(count):
+    """count disjoint 4-cycles, alternately coloured: 2^count perfect
+    matchings, each with count red edges."""
+    edges = []
+    for i in range(count):
+        a = 4 * i
+        edges += [(a, a + 1, RED), (a + 2, a + 3, BLUE), (a, a + 2, BLUE), (a + 1, a + 3, RED)]
+    return ColoredGraph(4 * count, tuple(edges))
+
+
+K2 = ColoredGraph(2, ((0, 1, RED),))
+TRIANGLE_AND_PENDANT = ColoredGraph(4, ((0, 1, RED), (0, 2, BLUE), (1, 2, RED), (2, 3, RED)))
+
+
+def empty_range_cases():
+    """A pytest.param(name, engine, instance) for every engine of EM, CPM
+    and BCPM and an instance whose red_counts range is empty."""
+    cases = []
+    for graph in (K2, squares(3), TRIANGLE_AND_PENDANT):
+        for name, engine, ks in (("brute_em", brute_em, (-2, -1, graph.n // 2 + 1, 10**6)),
+                                 ("decide_em_via_tkpm", decide_em_via_tkpm,
+                                  (-2, -1, graph.n // 2 + 1, 10**6)),
+                                 ("brute_bcpm", brute_bcpm, (-2, -1))):
+            cases += [pytest.param(name, engine, EmInstance(graph, k), id=f"{name}-n{graph.n}-k{k}")
+                      for k in ks]
+    # cpm's range is empty only below two vertices, at an odd k
+    cases += [pytest.param("brute_cpm", brute_cpm, EmInstance(ColoredGraph(n, ()), 1),
+                           id=f"brute_cpm-n{n}-k1") for n in (0, 1)]
+    return cases
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count the calls to the search and to the gadget construction."""
+    counted = {"_leaves": 0, "gadgetize": 0}
+
+    def wrap(module, name):
+        original = getattr(module, name)
+
+        def counting(*args):
+            counted[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counting)
+
+    wrap(engines, "_leaves")
+    wrap(reduction, "gadgetize")
+    return counted
+
+
+@pytest.mark.parametrize("name, engine, instance", empty_range_cases())
+def test_an_empty_range_is_a_no_without_a_search(calls, name, engine, instance):
+    problem = name.split("_")[1]
+    assert not red_counts(problem, instance)
+    assert engine(instance) in (None, False)
+    assert calls == {"_leaves": 0, "gadgetize": 0}
+
+
+def test_the_counted_engines_do_search_on_a_nonempty_range(calls):
+    instance = EmInstance(squares(3), 3)
+    assert brute_em(instance) is not None
+    assert decide_em_via_tkpm(instance) is True
+    assert calls == {"_leaves": 2, "gadgetize": 1}
+
+
+def test_exact_engines_answer_past_n_over_2_under_a_one_node_budget():
+    # 2^18 perfect matchings, none with 37 red edges: a search would visit them all
+    instance = EmInstance(squares(18), 37)
+    budget = EnumerationBudget(max_nodes=1)
+    assert brute_em(instance, budget) is None
+    assert decide_em_via_tkpm(instance, budget) is False
+
+
+def test_via_tkpm_builds_no_gadget_for_a_huge_k():
+    # a gadget for k = 10^5 holds 10^5 forced edges, tens of MiB
+    tracemalloc.start()
+    try:
+        answer = decide_em_via_tkpm(EmInstance(K2, 10**5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert answer is False
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("k", [-1, 3, 10**6])
+def test_algebraic_decider_gives_an_exact_no_outside_the_range_on_any_graph(k):
+    # an odd cycle: inside 0..n/2 the decider raises NotBipartite
+    decision = algebraic_em_decide(EmInstance(TRIANGLE_AND_PENDANT, k), trials=5, seed=0)
+    assert decision.answer is False
+    assert decision.error_bound == 0.0 and decision.trials_run == 0
