@@ -35,15 +35,19 @@ instance = EmInstance(c4, 1)
 gadget, gm = gadgetize(instance)
 print(f"source: {c4.n} vertices, {len(c4.edges)} edges, k={instance.k}")
 print(f"gadget: {gadget.graph.n} vertices, {len(gadget.graph.edges)} edges")
-print(f"k' = {gm.kprime}, threshold = {gm.threshold}")
+print(f"k' = {gadget.k}, threshold = {gm.threshold}")
 
-# Each source edge became a path of five gadget edges. Red paths carry
-# weights (0, 2, 3, 2, 0), blue paths all zeros, forced edges weight 2.
-for i, path in enumerate(gm.path_edges):
+# Each source edge became a path of five gadget edges, numbered in
+# construction order: source edge i owns gadget edges 5i..5i+4, and the k
+# forced edges come last. Red paths carry weights (0, 2, 3, 2, 0), blue
+# paths all zeros, forced edges weight 2.
+for i, (_, _, c) in enumerate(c4.edges):
+    path = tuple(range(5 * i, 5 * i + 5))
     weights = tuple(gadget.graph.weights[e] for e in path)
-    color = "red " if c4.edges[i][2] == RED else "blue"
+    color = "red " if c == RED else "blue"
     print(f"source edge {i} ({color}) -> gadget edges {path} weights {weights}")
-print("forced edges:", gm.ek_edges)
+first_forced = 5 * len(c4.edges)
+print("forced edges:", tuple(range(first_forced, first_forced + instance.k)))
 
 # The bijection: a source perfect matching lifts to a gadget perfect
 # matching (matched edges keep path positions 1, 3, 5; unmatched ones

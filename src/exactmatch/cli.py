@@ -102,7 +102,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     Path(args.out).write_text(format_tkpm_instance(tkpm))
     Path(args.map).write_text(format_gadget_map(gadget_map))
     print(f"gadget: {tkpm.graph.n} vertices, {len(tkpm.graph.edges)} edges, "
-          f"k'={gadget_map.kprime}, threshold={gadget_map.threshold}")
+          f"k'={tkpm.k}, threshold={gadget_map.threshold}")
     return 0
 
 

@@ -19,8 +19,9 @@ exactly when the gadget optimum reaches the threshold.
 
 Vertex numbering is deterministic: source vertices keep ids 0..n-1, the
 four subdivision vertices of edge i are n+4i..n+4i+3, forced-edge vertices
-come last. Edge ids follow the same construction order (five per source
-edge, then the forced edges), which makes serialized gadgets byte-stable.
+come last. Edge ids follow the same construction order: the path of source
+edge i is gadget edges 5i..5i+4 (p1..p5, p3 is the middle) and the forced
+edges are 5m..5m+k-1, which makes serialized gadgets byte-stable.
 """
 
 from __future__ import annotations
@@ -51,17 +52,20 @@ _FORCED_EDGE_WEIGHT = 2
 class GadgetMap:
     """Bookkeeping produced by gadgetize, enabling exact lift and project.
 
-    path_edges[i] holds the five gadget edge ids of source edge i's path in
-    path order (p1..p5, p3 is the middle); its four subdivision vertices
-    are n+4i..n+4i+3 by construction. ek_edges are the forced-edge ids.
+    The gadget's edge ids follow its construction order (see the module
+    docstring), so the map stores none of them.
     """
 
     source: EmInstance
     gadget: TkpmInstance
-    path_edges: tuple[tuple[int, int, int, int, int], ...]
-    ek_edges: tuple[int, ...]
-    kprime: int
     threshold: int
+
+
+def _edge_ids(gadget_map: GadgetMap) -> tuple[list[range], range]:
+    """The gadget's edge ids in construction order (see the module
+    docstring): the columns p1..p5 over all paths, and the forced edges."""
+    m, k = len(gadget_map.source.graph.edges), gadget_map.source.k
+    return [range(j, 5 * m, 5) for j in range(5)], range(5 * m, 5 * m + k)
 
 
 def gadgetize(instance: EmInstance) -> tuple[TkpmInstance, GadgetMap]:
@@ -79,37 +83,22 @@ def gadgetize(instance: EmInstance) -> tuple[TkpmInstance, GadgetMap]:
     num_red = graph.num_red
 
     edges: list[tuple[int, int, int]] = []
-    path_edges = []
     for i, ((u, v, _), red) in enumerate(zip(graph.edges, graph.edge_classes)):
         a = n + 4 * i
         w = _RED_PATH_WEIGHTS if red else _BLUE_PATH_WEIGHTS
-        base = 5 * i
         edges.append((u, a, w[0]))
         edges.append((a, a + 1, w[1]))
         edges.append((a + 1, a + 2, w[2]))
         edges.append((a + 2, a + 3, w[3]))
         edges.append((v, a + 3, w[4]))
-        path_edges.append((base, base + 1, base + 2, base + 3, base + 4))
 
-    ek_edges = []
     first_forced_vertex = n + 4 * m
     for j in range(k):
         x = first_forced_vertex + 2 * j
-        ek_edges.append(len(edges))
         edges.append((x, x + 1, _FORCED_EDGE_WEIGHT))
 
-    kprime = 2 * num_red
-    threshold = 4 * num_red + k
-    gadget = TkpmInstance(WeightedGraph(n + 4 * m + 2 * k, edges), kprime)
-    gadget_map = GadgetMap(
-        source=instance,
-        gadget=gadget,
-        path_edges=tuple(path_edges),
-        ek_edges=tuple(ek_edges),
-        kprime=kprime,
-        threshold=threshold,
-    )
-    return gadget, gadget_map
+    gadget = TkpmInstance(WeightedGraph(n + 4 * m + 2 * k, edges), 2 * num_red)
+    return gadget, GadgetMap(instance, gadget, 4 * num_red + k)
 
 
 def lift_matching(matching: Matching, gadget_map: GadgetMap) -> Matching:
@@ -117,20 +106,22 @@ def lift_matching(matching: Matching, gadget_map: GadgetMap) -> Matching:
     perfect matching of the gadget graph.
 
     Matched source edges contribute p1, p3, p5 of their path; unmatched
-    ones p2, p4; all forced edges are included. Raises ValueError when the
-    input is not a perfect matching of the source graph.
+    ones p2, p4; all forced edges are included, and the ids come out in
+    ascending order. Raises ValueError when the input is not a perfect
+    matching of the source graph.
     """
     if not is_perfect_matching(gadget_map.source.graph, matching):
         raise ValueError("not a perfect matching of the source graph")
     in_matching = set(matching)
+    columns, forced = _edge_ids(gadget_map)
     lifted: list[int] = []
-    for i, (p1, p2, p3, p4, p5) in enumerate(gadget_map.path_edges):
+    for i, (p1, p2, p3, p4, p5) in enumerate(zip(*columns)):
         if i in in_matching:
             lifted += (p1, p3, p5)
         else:
             lifted += (p2, p4)
-    lifted.extend(gadget_map.ek_edges)
-    return tuple(sorted(lifted))
+    lifted += forced
+    return tuple(lifted)
 
 
 def project_matching(matching: Matching, gadget_map: GadgetMap) -> Matching:
@@ -140,14 +131,15 @@ def project_matching(matching: Matching, gadget_map: GadgetMap) -> Matching:
     The projection always checks: every path must show one of the two
     legal patterns ({p1, p3, p5} or {p2, p4}) and all forced edges must be
     present. Every perfect matching of a gadget built by gadgetize passes,
-    so only a doctored map fails; that, or an input that is not a perfect
+    so only a doctored gadget fails; that, or an input that is not a perfect
     matching of the gadget graph, raises ValueError.
     """
     if not is_perfect_matching(gadget_map.gadget.graph, matching):
         raise ValueError("not a perfect matching of the gadget graph")
     in_matching = set(matching)
+    columns, forced = _edge_ids(gadget_map)
     projected: list[int] = []
-    for i, (p1, p2, p3, p4, p5) in enumerate(gadget_map.path_edges):
+    for i, (p1, p2, p3, p4, p5) in enumerate(zip(*columns)):
         if p3 in in_matching:
             projected.append(i)
             legal = (p1 in in_matching and p5 in in_matching
@@ -157,7 +149,7 @@ def project_matching(matching: Matching, gadget_map: GadgetMap) -> Matching:
                      and p1 not in in_matching and p5 not in in_matching)
         if not legal:
             raise ValueError(f"corrupted path pattern at source edge {i}")
-    if not in_matching.issuperset(gadget_map.ek_edges):
+    if not in_matching.issuperset(forced):
         raise ValueError("forced edge missing from gadget matching")
     return tuple(projected)
 
@@ -165,7 +157,7 @@ def project_matching(matching: Matching, gadget_map: GadgetMap) -> Matching:
 def lifted_value(gadget_map: GadgetMap, matching: Matching) -> int:
     """Top-k' weight of the lift of a perfect source matching."""
     lifted = lift_matching(matching, gadget_map)
-    return top_k_weight(gadget_map.gadget.graph.weights, lifted, gadget_map.kprime)
+    return top_k_weight(gadget_map.gadget.graph.weights, lifted, gadget_map.gadget.k)
 
 
 def decide_em_via_tkpm(instance: EmInstance,
@@ -190,10 +182,10 @@ def decide_em_via_tkpm(instance: EmInstance,
 def format_gadget_map(gadget_map: GadgetMap) -> str:
     """Deterministic sidecar text for a reduction: one header, one line of
     path edge ids per source edge, one line of forced-edge ids."""
-    paths, ek = gadget_map.path_edges, gadget_map.ek_edges
-    m = len(paths)
+    columns, forced = _edge_ids(gadget_map)
+    m, k = len(columns[0]), len(forced)
     # rows (i, p1, ..., p5), all written by one %-format
-    rows = tuple(chain.from_iterable(zip(range(m), *zip(*paths))))
-    return (f"p map {m} {len(ek)} {gadget_map.kprime} {gadget_map.threshold}\n"
+    rows = tuple(chain.from_iterable(zip(range(m), *columns)))
+    return (f"p map {m} {k} {gadget_map.gadget.k} {gadget_map.threshold}\n"
             + "g %s %s %s %s %s %s\n" * m % rows
-            + " ".join(map(str, ("ek", len(ek), *ek))) + "\n")
+            + " ".join(map(str, ("ek", k, *forced))) + "\n")

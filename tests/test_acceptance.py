@@ -112,7 +112,8 @@ def test_criterion_3_matching_bijection_on_small_sources():
         gadget, gm = gadgetize(instance)
         gadget_pms = list(enumerate_perfect_matchings(gadget.graph))
         assert len(gadget_pms) == len(source_pms)
-        ek = set(gm.ek_edges)
+        m = len(instance.graph.edges)
+        ek = set(range(5 * m, 5 * m + instance.k))
         for m in source_pms:
             lifted = lift_matching(m, gm)
             assert project_matching(lifted, gm) == m
@@ -132,7 +133,7 @@ def test_criterion_4_gadget_shape_invariants():
         gadget, gm = gadgetize(instance)
         assert gadget.graph.n == n + 4 * m + 2 * instance.k
         assert len(gadget.graph.edges) == 5 * m + instance.k
-        assert gm.kprime == 2 * reds
+        assert gadget.k == 2 * reds
         assert gm.threshold == 4 * reds + instance.k
         assert set(gadget.graph.weights) <= {0, 2, 3}
 

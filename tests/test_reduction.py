@@ -14,6 +14,8 @@ from exactmatch.graphs import (
     RED,
     ColoredGraph,
     EmInstance,
+    TkpmInstance,
+    WeightedGraph,
     is_perfect_matching,
     red_count,
     top_k_weight,
@@ -48,12 +50,11 @@ def test_gadgetize_single_red_edge():
     g = gadget.graph
     assert g.n == 8
     assert len(g.edges) == 6
-    assert g.weights[:5] == (0, 2, 3, 2, 0)
-    assert g.weights[5] == 2
-    assert gm.kprime == 2 and gadget.k == 2
+    # path 0 is edges 0..4 from u = 0 to v = 1, the forced edge is edge 5
+    assert g.edges == ((0, 2, 0), (2, 3, 2), (3, 4, 3), (4, 5, 2), (1, 5, 0),
+                       (6, 7, 2))
+    assert gadget.k == 2
     assert gm.threshold == 5
-    assert gm.path_edges == ((0, 1, 2, 3, 4),)
-    assert gm.ek_edges == (5,)
 
 
 def test_gadgetize_single_blue_edge_k0():
@@ -62,15 +63,14 @@ def test_gadgetize_single_blue_edge_k0():
     assert g.n == 6
     assert len(g.edges) == 5
     assert g.weights == (0, 0, 0, 0, 0)
-    assert gm.ek_edges == ()
-    assert gm.kprime == 0 and gm.threshold == 0
+    assert gadget.k == 0 and gm.threshold == 0
 
 
 def test_gadgetize_c4_sizes():
     gadget, gm = gadgetize(EmInstance(C4_RED0, 1))
     assert gadget.graph.n == 22
     assert len(gadget.graph.edges) == 21
-    assert gm.kprime == 2
+    assert gadget.k == 2
     assert gm.threshold == 5
 
 
@@ -81,22 +81,33 @@ def test_gadget_size_formulas_and_weights():
         gadget, gm = gadgetize(inst)
         assert gadget.graph.n == n + 4 * m + 2 * inst.k
         assert len(gadget.graph.edges) == 5 * m + inst.k
-        assert gm.kprime == 2 * reds
+        assert gadget.k == 2 * reds
         assert gm.threshold == 4 * reds + inst.k
         assert set(gadget.graph.weights) <= {0, 2, 3}
         assert validate(gadget.graph) is None
+        assert gm.source == inst and gm.gadget == gadget
 
 
 def test_path_layout_subdivides_each_source_edge():
-    inst = EmInstance(C4_RED0, 1)
-    gadget, gm = gadgetize(inst)
-    for i, (u, v, _) in enumerate(inst.graph.edges):
-        path = gm.path_edges[i]
-        ends = [gadget.graph.edges[eid][:2] for eid in path]
-        a = inst.graph.n + 4 * i
-        chain = [u, a, a + 1, a + 2, a + 3, v]
-        for (a, b), s, t in zip(ends, chain, chain[1:]):
-            assert {a, b} == {s, t}
+    # lift, project and the map sidecar read edge ids from this numbering:
+    # path i is edges 5i..5i+4 through n+4i..n+4i+3, forced edge j is 5m+j
+    instances = [EmInstance(C4_RED0, 1)]
+    instances += [inst for inst in random_instances(40, seed=58) if inst.k > 0]
+    assert len(instances) > 20
+    for inst in instances:
+        n, m, k = inst.graph.n, len(inst.graph.edges), inst.k
+        g = gadgetize(inst)[0].graph
+        assert len(g.edges) == 5 * m + k
+        for i, (u, v, color) in enumerate(inst.graph.edges):
+            a = n + 4 * i
+            chain = [u, a, a + 1, a + 2, a + 3, v]
+            for j in range(5):
+                assert set(g.edges[5 * i + j][:2]) == {chain[j], chain[j + 1]}
+            expected = (0, 2, 3, 2, 0) if color == RED else (0, 0, 0, 0, 0)
+            assert g.weights[5 * i:5 * i + 5] == expected
+        for j in range(k):
+            x = n + 4 * m + 2 * j
+            assert g.edges[5 * m + j] == (x, x + 1, 2)
 
 
 def test_lift_matching_example():
@@ -137,7 +148,8 @@ def test_lift_after_project_covers_all_gadget_pms():
         source_pms = list(enumerate_perfect_matchings(inst.graph))
         gadget_pms = list(enumerate_perfect_matchings(gadget.graph))
         assert len(source_pms) == len(gadget_pms)
-        ek = set(gm.ek_edges)
+        m = len(inst.graph.edges)
+        ek = set(range(5 * m, 5 * m + inst.k))
         for gpm in gadget_pms:
             assert ek <= set(gpm)
             back = project_matching(gpm, gm)
@@ -145,25 +157,35 @@ def test_lift_after_project_covers_all_gadget_pms():
             assert lift_matching(back, gm) == gpm
 
 
+def _doctor_gadget(gm, edges):
+    gadget = TkpmInstance(WeightedGraph(gm.gadget.graph.n, edges), gm.gadget.k)
+    return dataclasses.replace(gm, gadget=gadget)
+
+
 def test_strict_projection_flags_corrupted_patterns():
-    gadget, gm = gadgetize(EmInstance(K2_RED, 1))
-    legal = lift_matching((0,), gm)
-    # a map whose recorded path order disagrees with the matching looks
-    # corrupted even though the matching itself is a fine gadget PM
-    scrambled = dataclasses.replace(gm, path_edges=((1, 0, 3, 2, 4),))
-    with pytest.raises(ValueError, match="corrupted path pattern at source edge 0"):
-        project_matching(legal, scrambled)
-    swapped_head = dataclasses.replace(gm, path_edges=((1, 0, 2, 3, 4),))
-    with pytest.raises(ValueError, match="corrupted path pattern"):
-        project_matching(legal, swapped_head)
+    _, gm = gadgetize(EmInstance(K2_RED, 1))
+    e = gm.gadget.graph.edges
+    # a gadget whose path edges are out of construction order has perfect
+    # matchings that show neither legal pattern at their ids: with p3 in,
+    # (1, 2, 4, 5) misses p1; with p3 out, (0, 3, 4, 5) misses p2
+    for swapped, matching in (((e[1], e[0]) + e[2:], (1, 2, 4, 5)),
+                              (e[:2] + (e[3], e[2]) + e[4:], (0, 3, 4, 5))):
+        doctored = _doctor_gadget(gm, swapped)
+        assert is_perfect_matching(doctored.gadget.graph, matching)
+        with pytest.raises(ValueError,
+                           match="corrupted path pattern at source edge 0"):
+            project_matching(matching, doctored)
 
 
 def test_strict_projection_flags_missing_forced_edge():
-    gadget, gm = gadgetize(EmInstance(K2_RED, 1))
-    legal = lift_matching((0,), gm)
-    doctored = dataclasses.replace(gm, ek_edges=(3,))
+    _, gm = gadgetize(EmInstance(K2_RED, 1))
+    e = gm.gadget.graph.edges
+    # a parallel copy of forced edge 5, as edge 6, can replace it in a
+    # perfect matching of the doctored gadget
+    doctored = _doctor_gadget(gm, e + (e[5],))
+    assert is_perfect_matching(doctored.gadget.graph, (0, 2, 4, 6))
     with pytest.raises(ValueError, match="forced edge missing"):
-        project_matching(legal, doctored)
+        project_matching((0, 2, 4, 6), doctored)
 
 
 def test_lifted_value_example():
@@ -246,7 +268,7 @@ def test_decide_on_long_path_does_not_recurse_per_forced_edge():
     # the gadget of k = 1000 has 1,000 isolated forced edges; they are all
     # settled before the first branch, not one recursion level each
     path = ColoredGraph(2000, tuple((i, i + 1, RED) for i in range(1999)))
-    assert len(gadgetize(EmInstance(path, 1000))[1].ek_edges) == 1000
+    assert len(gadgetize(EmInstance(path, 1000))[0].graph.edges) == 5 * 1999 + 1000
     assert decide_em_via_tkpm(EmInstance(path, 1000))
     assert not decide_em_via_tkpm(EmInstance(path, 999))
 
@@ -259,17 +281,10 @@ def test_format_gadget_map_golden():
         "ek 1 5\n")
 
 
-def test_gadget_k_equals_kprime():
-    for inst in random_instances(10, seed=57):
-        gadget, gm = gadgetize(inst)
-        assert gadget.k == gm.kprime
-        assert gm.source == inst
-
-
 def test_top_k_weight_consistency_with_lifted_value():
     inst = gen_instance(GenSpec(n=6, extra_edges=5, seed=3, red_prob=0.6))
     gadget, gm = gadgetize(inst)
     for m in itertools.islice(enumerate_perfect_matchings(inst.graph), 5):
         lifted = lift_matching(m, gm)
         assert lifted_value(gm, m) == top_k_weight(
-            gadget.graph.weights, lifted, gm.kprime)
+            gadget.graph.weights, lifted, gadget.k)
