@@ -25,10 +25,13 @@ from exactmatch import (
     symbolic_determinant,
 )
 
-# Two-coloring a 4-cycle: sides alternate, so the graph is bipartite.
+# Two-coloring a 4-cycle: sides alternate, so the graph is bipartite. Each
+# vertex's side is 0 (left, the matrix rows) or 1 (right, its columns).
 c4 = ColoredGraph(4, ((0, 1, RED), (1, 2, BLUE), (2, 3, BLUE), (0, 3, BLUE)))
-bp = find_bipartition(c4)
-print("sides:", bp.sides, "left:", bp.left, "right:", bp.right)
+sides = find_bipartition(c4)
+left = tuple(v for v, side in enumerate(sides) if side == 0)
+right = tuple(v for v, side in enumerate(sides) if side == 1)
+print("sides:", sides, "left:", left, "right:", right)
 
 # The exact symbolic determinant in the red-marker variable y, with
 # isolation weights 2^w, is the reference the decider is tested against:
@@ -37,7 +40,7 @@ print("sides:", bp.sides, "left:", bp.left, "right:", bp.right)
 # lowest power first, with no trailing zero. Here both matchings are
 # visible: one blue-blue, one through red.
 weights = sample_isolation_weights(len(c4.edges), 0)
-det = symbolic_determinant(c4, bp, weights)
+det = symbolic_determinant(c4, sides, weights)
 print("weights:", weights)
 print("determinant coefficients by red count:", det)
 

@@ -11,7 +11,6 @@ and its bounded form (additionally red count at most k).
 
 from .algebraic import (
     DEFAULT_TRIALS,
-    Bipartition,
     EmDecision,
     NotBipartite,
     ParityDecision,
@@ -62,7 +61,6 @@ from .graphs import (
     Matching,
     TkpmInstance,
     WeightedGraph,
-    as_matching,
     is_perfect_matching,
     red_count,
     top_k_weight,
@@ -84,7 +82,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BLUE",
     "RED",
-    "Bipartition",
     "BudgetExhausted",
     "CampaignReport",
     "ColoredGraph",
@@ -102,7 +99,6 @@ __all__ = [
     "TkpmInstance",
     "WeightedGraph",
     "algebraic_em_decide",
-    "as_matching",
     "bcpm_via_em",
     "brute_bcpm",
     "brute_cpm",

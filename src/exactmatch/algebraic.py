@@ -50,7 +50,6 @@ import random
 from collections import deque
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Union
 
 from .engines import brute_em, red_counts
@@ -69,25 +68,6 @@ _shared_vectors: ContextVar[Optional[dict]] = ContextVar("_shared_vectors", defa
 
 
 @dataclass(frozen=True)
-class Bipartition:
-    """A two-sided vertex classification; side 0 is left, side 1 is right."""
-
-    sides: tuple[int, ...]
-
-    @cached_property
-    def left(self) -> tuple[int, ...]:
-        return tuple(v for v, s in enumerate(self.sides) if s == 0)
-
-    @cached_property
-    def right(self) -> tuple[int, ...]:
-        return tuple(v for v, s in enumerate(self.sides) if s == 1)
-
-    @property
-    def is_balanced(self) -> bool:
-        return len(self.left) == len(self.right)
-
-
-@dataclass(frozen=True)
 class EmDecision:
     """Outcome of the randomized decider.
 
@@ -102,8 +82,11 @@ class EmDecision:
 
     answer: bool
     error_bound: float
-    trials_run: int
     transcript: tuple[tuple[WeightAssignment, bool], ...]
+
+    @property
+    def trials_run(self) -> int:
+        return len(self.transcript)
 
     def __bool__(self) -> bool:
         return self.answer
@@ -126,9 +109,10 @@ class NotBipartite(ValueError):
     """The algebraic decider was given a graph with an odd cycle."""
 
 
-def find_bipartition(graph: ColoredGraph) -> Optional[Bipartition]:
-    """Two-color the graph by breadth-first search, or None when an odd
-    cycle makes that impossible. Isolated vertices land on the left side."""
+def find_bipartition(graph: ColoredGraph) -> Optional[tuple[int, ...]]:
+    """Two-color the graph by breadth-first search: each vertex's side, 0
+    for left and 1 for right, or None when an odd cycle makes that
+    impossible. Isolated vertices land on the left side."""
     sides = [-1] * graph.n
     adj = graph.adjacency
     for root in range(graph.n):
@@ -144,7 +128,7 @@ def find_bipartition(graph: ColoredGraph) -> Optional[Bipartition]:
                     queue.append(u)
                 elif sides[u] == sides[v]:
                     return None
-    return Bipartition(tuple(sides))
+    return tuple(sides)
 
 
 def sample_isolation_weights(m: int, rng: Union[int, random.Random, None] = None) -> WeightAssignment:
@@ -160,30 +144,29 @@ def sample_isolation_weights(m: int, rng: Union[int, random.Random, None] = None
     return tuple(rng.randint(1, 2 * m) for _ in range(m))
 
 
-def _cells(graph: ColoredGraph, bipartition: Bipartition) -> tuple[tuple[int, int, bool], ...]:
+def _cells(graph: ColoredGraph, sides: tuple[int, ...]) -> tuple[tuple[int, int, bool], ...]:
     """(row, column, is red) of each edge's matrix cell, in edge order.
 
-    Rows are the left-side vertices in ascending id order, columns the
-    right side.
+    Rows are the left-side (side 0) vertices in ascending id order,
+    columns the right side (side 1).
     """
-    if len(bipartition.sides) != graph.n:
-        raise ValueError(f"bipartition has {len(bipartition.sides)} sides "
+    if len(sides) != graph.n:
+        raise ValueError(f"bipartition has {len(sides)} sides "
                          f"for a graph on {graph.n} vertices")
-    for v, side in enumerate(bipartition.sides):
+    for v, side in enumerate(sides):
         if side != 0 and side != 1:
             raise ValueError(f"bipartition puts vertex {v} on side {side!r}, not 0 or 1")
-    left, right = bipartition.left, bipartition.right
+    left = [v for v, side in enumerate(sides) if side == 0]
+    right = [v for v, side in enumerate(sides) if side == 1]
     if len(left) != len(right):
         raise ValueError("bipartition sides differ in size, determinant undefined")
-    row = {v: i for i, v in enumerate(left)}
-    col = {v: j for j, v in enumerate(right)}
-    sides = bipartition.sides
+    index = {v: i for part in (left, right) for i, v in enumerate(part)}
     cells = []
     for eid, ((u, v, _), red) in enumerate(zip(graph.edges, graph.edge_classes)):
         if sides[u] == sides[v]:
             raise ValueError(f"bipartition does not separate edge {eid}")
         lu, rv = (u, v) if sides[u] == 0 else (v, u)
-        cells.append((row[lu], col[rv], bool(red)))
+        cells.append((index[lu], index[rv], bool(red)))
     return tuple(cells)
 
 
@@ -213,7 +196,7 @@ def determinant(rows: list[list[int]]) -> int:
 
 def symbolic_determinant(
         graph: ColoredGraph,
-        bipartition: Bipartition,
+        sides: tuple[int, ...],
         weights: WeightAssignment,
         ) -> tuple[int, ...]:
     """Exact determinant of the weighted bipartite adjacency matrix, as a
@@ -221,22 +204,24 @@ def symbolic_determinant(
     lowest power first, with no trailing zero, so () is the zero
     polynomial.
 
-    Rows are the left-side vertices in ascending id order, columns the
-    right side; the entry for edge e is 2^w_e * y^(1 if e is red), and
-    parallel edges add up. The coefficient of y^j is the signed sum of
-    2^(total weight) over perfect matchings with exactly j red edges.
+    sides holds each vertex's side, 0 for left and 1 for right, as
+    find_bipartition returns it. Rows are the left-side vertices in
+    ascending id order, columns the right side; the entry for edge e is
+    2^w_e * y^(1 if e is red), and parallel edges add up. The coefficient
+    of y^j is the signed sum of 2^(total weight) over perfect matchings
+    with exactly j red edges.
 
     No coefficient exceeds, in absolute value, the permanent of B + R, and
     so the product of its row sums, bound. Kronecker substitution at
     y = 2^s, s = bound.bit_length() + 1, gives one integer det(B + 2^s R)
     whose balanced base-2^s digits are the coefficients.
     """
-    cells = _cells(graph, bipartition)
+    cells = _cells(graph, sides)
     if len(weights) != len(graph.edges):
         raise ValueError("need exactly one weight per edge")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be non-negative")
-    size = len(bipartition.left)
+    size = graph.n // 2
     blue = [[0] * size for _ in range(size)]
     red = [[0] * size for _ in range(size)]
     for (r, c, is_red), w in zip(cells, weights):
@@ -463,18 +448,18 @@ def algebraic_em_decide(
     if trials < 1:
         raise ValueError("trials must be positive")
     graph, k = instance.graph, instance.k
-    exact_no = EmDecision(answer=False, error_bound=0.0, trials_run=0, transcript=())
+    exact_no = EmDecision(answer=False, error_bound=0.0, transcript=())
     if 2 * len(graph.edges) < graph.n or not red_counts("em", instance):
         # some vertex has no edge, or red_counts rules k out: before any work
         return exact_no
-    bipartition = find_bipartition(graph)
-    if bipartition is None:
+    sides = find_bipartition(graph)
+    if sides is None:
         raise NotBipartite("graph is not bipartite; use brute_em instead")
-    if not bipartition.is_balanced:
+    if 2 * sum(sides) != graph.n:
         # unequal sides cannot be perfectly matched
         return exact_no
-    cells = _cells(graph, bipartition)
-    size = len(bipartition.left)
+    cells = _cells(graph, sides)
+    size = graph.n // 2
     # a perfect matching has n/2 edges, so the determinant's degree in y is
     # at most min(n/2, red edges)
     degree = min(size, sum(red for _, _, red in cells))
@@ -487,7 +472,7 @@ def algebraic_em_decide(
     vectors = {} if shared is None else shared.setdefault((cells, size), {})
     rng = random.Random(seed)
     transcript: list[tuple[WeightAssignment, bool]] = []
-    for trial in range(trials):
+    for _ in range(trials):
         values = _draw(rng, len(cells))
         coeffs = vectors.get(values)
         if coeffs is None:
@@ -495,13 +480,12 @@ def algebraic_em_decide(
         hit = coeffs[k] != 0
         transcript.append((values, hit))
         if hit:
-            return EmDecision(answer=True, error_bound=0.0,
-                              trials_run=trial + 1, transcript=tuple(transcript))
+            return EmDecision(answer=True, error_bound=0.0, transcript=tuple(transcript))
     # 2^-trials bounds the true ((n/2)/p)^trials from above; it is floored at
     # the smallest positive float so that a long run of misses never reads
     # as an exact "no"
     return EmDecision(answer=False, error_bound=math.ldexp(1.0, -min(trials, 1074)),
-                      trials_run=trials, transcript=tuple(transcript))
+                      transcript=tuple(transcript))
 
 
 EmDecider = Callable[[EmInstance], Union[EmDecision, Optional[Matching], bool]]

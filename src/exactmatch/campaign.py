@@ -143,7 +143,9 @@ def merge_reports(reports, seed: int) -> CampaignReport:
         for name, det, tot in report.detection:
             detected[name] = detected.get(name, 0) + det
             yes_total[name] = yes_total.get(name, 0) + tot
-        notes += list(report.budget_notes)
+        for note in report.budget_notes:
+            iid, rest = note.removeprefix("instance ").split(":", 1)
+            notes.append(f"instance {int(iid) + offset}:{rest}")
         run += report.instances_run
         agreements += report.agreements
         skipped += report.skipped

@@ -194,11 +194,6 @@ def validate_instance(instance: Union[EmInstance, TkpmInstance]) -> Optional[str
     return None
 
 
-def as_matching(edge_ids: Iterable[int]) -> Matching:
-    """Normalize an iterable of edge ids to a sorted duplicate-free tuple."""
-    return tuple(sorted(set(edge_ids)))
-
-
 def _check_edge_ids(graph: Graph, matching: Iterable[int]) -> Matching:
     m = tuple(matching)
     num_edges = len(graph.edges)

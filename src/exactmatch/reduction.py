@@ -58,7 +58,10 @@ class GadgetMap:
 
     source: EmInstance
     gadget: TkpmInstance
-    threshold: int
+
+    @property
+    def threshold(self) -> int:
+        return 2 * self.gadget.k + self.source.k    # 4R + k, as k' = 2R
 
 
 def _edge_ids(gadget_map: GadgetMap) -> tuple[list[range], range]:
@@ -98,7 +101,7 @@ def gadgetize(instance: EmInstance) -> tuple[TkpmInstance, GadgetMap]:
         edges.append((x, x + 1, _FORCED_EDGE_WEIGHT))
 
     gadget = TkpmInstance(WeightedGraph(n + 4 * m + 2 * k, edges), 2 * num_red)
-    return gadget, GadgetMap(instance, gadget, 4 * num_red + k)
+    return gadget, GadgetMap(instance, gadget)
 
 
 def lift_matching(matching: Matching, gadget_map: GadgetMap) -> Matching:

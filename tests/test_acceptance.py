@@ -34,6 +34,8 @@ from exactmatch.generator import GenSpec, gen_instance
 from exactmatch.graphs import RED, ColoredGraph, EmInstance, red_count
 from exactmatch.reduction import gadgetize, lift_matching, lifted_value, project_matching
 
+from test_algebraic import enumeration_polynomial
+
 # Seeded random batches used by criterion 1 and re-derived by criterion 4.
 RANDOM_TEMPLATES = (
     GenSpec(n=2, extra_edges=0, seed=100),
@@ -192,34 +194,6 @@ def test_criterion_6_detection_rates():
           f"10-trial detection {ten_rate:.4f}")
 
 
-def perm_sign(perm):
-    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
-              if perm[i] > perm[j])
-    return -1 if inv % 2 else 1
-
-
-def enumeration_polynomial(graph, bipartition, weights):
-    """Sum of sign(M) * 2^w(M) * y^r(M) over all perfect matchings, built
-    straight from the enumeration engine rather than any determinant."""
-    row = {v: i for i, v in enumerate(bipartition.left)}
-    col = {v: j for j, v in enumerate(bipartition.right)}
-    coeffs = [0] * (len(bipartition.left) + 1)
-    for matching in enumerate_perfect_matchings(graph):
-        perm = [0] * len(bipartition.left)
-        wsum = 0
-        reds = 0
-        for eid in matching:
-            u, v, color = graph.edges[eid]
-            lu, rv = (u, v) if bipartition.sides[u] == 0 else (v, u)
-            perm[row[lu]] = col[rv]
-            wsum += weights[eid]
-            reds += color == RED
-        coeffs[reds] += perm_sign(perm) * 2 ** wsum
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 def thinned(graph, seed):
     """Drop one edge to mix graphs without perfect matchings into the
     criterion 7 sample."""
@@ -239,12 +213,12 @@ def test_criterion_7_determinant_equals_enumeration_sum():
                                      bipartite=True, red_prob=0.4)).graph
         if seed % 4 == 0:
             graph = thinned(graph, seed)
-        bipartition = find_bipartition(graph)
-        if bipartition is None or not bipartition.is_balanced or not graph.edges:
+        sides = find_bipartition(graph)
+        if sides is None or 2 * sum(sides) != graph.n or not graph.edges:
             continue
         weights = sample_isolation_weights(len(graph.edges), seed)
-        assert symbolic_determinant(graph, bipartition, weights) == \
-            enumeration_polynomial(graph, bipartition, weights)
+        assert symbolic_determinant(graph, sides, weights) == \
+            enumeration_polynomial(graph, sides, weights)
         checked += 1
     print(f"criterion 7 PASS: determinant identity exact on {checked} "
           f"bipartite graphs")

@@ -17,7 +17,6 @@ import pytest
 import exactmatch.algebraic as algebraic
 from exactmatch.algebraic import (
     DEFAULT_TRIALS,
-    Bipartition,
     EmDecision,
     ParityDecision,
     algebraic_em_decide,
@@ -46,17 +45,22 @@ def perm_sign(perm):
     return -1 if inv % 2 else 1
 
 
-def enumeration_polynomial(graph, bipartition, weights):
-    row = {v: i for i, v in enumerate(bipartition.left)}
-    col = {v: j for j, v in enumerate(bipartition.right)}
-    coeffs = [0] * (len(bipartition.left) + 1)
+def enumeration_polynomial(graph, sides, weights):
+    """Sum of sign(M) * 2^w(M) * y^r(M) over all perfect matchings, built
+    straight from the enumeration engine rather than any determinant; sides
+    gives each vertex's side, 0 for left and 1 for right."""
+    left = [v for v, side in enumerate(sides) if side == 0]
+    right = [v for v, side in enumerate(sides) if side == 1]
+    row = {v: i for i, v in enumerate(left)}
+    col = {v: j for j, v in enumerate(right)}
+    coeffs = [0] * (len(left) + 1)
     for matching in enumerate_perfect_matchings(graph):
-        perm = [0] * len(bipartition.left)
+        perm = [0] * len(left)
         wsum = 0
         reds = 0
         for eid in matching:
             u, v, color = graph.edges[eid]
-            lu, rv = (u, v) if bipartition.sides[u] == 0 else (v, u)
+            lu, rv = (u, v) if sides[u] == 0 else (v, u)
             perm[row[lu]] = col[rv]
             wsum += weights[eid]
             reds += color == RED
@@ -67,11 +71,7 @@ def enumeration_polynomial(graph, bipartition, weights):
 
 
 def test_find_bipartition_c4():
-    bp = find_bipartition(C4)
-    assert bp is not None
-    assert bp.sides == (0, 1, 0, 1)
-    assert bp.left == (0, 2) and bp.right == (1, 3)
-    assert bp.is_balanced
+    assert find_bipartition(C4) == (0, 1, 0, 1)
 
 
 def test_find_bipartition_triangle():
@@ -84,11 +84,11 @@ def test_find_bipartition_self_loop_is_odd_cycle():
 
 def test_find_bipartition_two_components_and_isolated():
     g = ColoredGraph(5, ((0, 1, BLUE), (2, 3, BLUE)))
-    bp = find_bipartition(g)
-    assert bp is not None
+    sides = find_bipartition(g)
+    assert sides is not None
     for u, v, _ in g.edges:
-        assert bp.sides[u] != bp.sides[v]
-    assert bp.sides[4] == 0  # isolated vertices go left
+        assert sides[u] != sides[v]
+    assert sides[4] == 0  # isolated vertices go left
 
 
 def test_find_bipartition_every_edge_crosses():
@@ -96,10 +96,10 @@ def test_find_bipartition_every_edge_crosses():
     for seed in range(30):
         inst = gen_instance(GenSpec(n=8, extra_edges=rng.randint(0, 8),
                                     seed=seed, bipartite=True))
-        bp = find_bipartition(inst.graph)
-        assert bp is not None
+        sides = find_bipartition(inst.graph)
+        assert sides is not None
         for u, v, _ in inst.graph.edges:
-            assert bp.sides[u] != bp.sides[v]
+            assert sides[u] != sides[v]
 
 
 def test_weights_single_edge_range():
@@ -130,38 +130,38 @@ def test_weights_need_an_edge():
 
 
 def test_symbolic_determinant_single_red_edge():
-    bp = find_bipartition(K2_RED)
-    assert symbolic_determinant(K2_RED, bp, (1,)) == (0, 2)
+    sides = find_bipartition(K2_RED)
+    assert symbolic_determinant(K2_RED, sides, (1,)) == (0, 2)
 
 
 def test_symbolic_determinant_single_blue_edge():
     g = ColoredGraph(2, ((0, 1, BLUE),))
-    bp = find_bipartition(g)
-    assert symbolic_determinant(g, bp, (2,)) == (4,)
+    sides = find_bipartition(g)
+    assert symbolic_determinant(g, sides, (2,)) == (4,)
 
 
 def test_symbolic_determinant_adds_parallel_edges():
     # both edges of the pair are perfect matchings of K2, one red, one blue
     g = ColoredGraph(2, ((0, 1, RED), (0, 1, BLUE)))
-    bp = find_bipartition(g)
-    assert symbolic_determinant(g, bp, (1, 2)) == (4, 2)
+    sides = find_bipartition(g)
+    assert symbolic_determinant(g, sides, (1, 2)) == (4, 2)
     # a second blue edge on the pair adds into the same blue cell
     g = ColoredGraph(2, ((0, 1, RED), (0, 1, BLUE), (0, 1, BLUE)))
-    assert symbolic_determinant(g, bp, (1, 2, 3)) == (12, 2)
+    assert symbolic_determinant(g, sides, (1, 2, 3)) == (12, 2)
 
 
 def test_symbolic_determinant_no_pm_is_zero():
     g = ColoredGraph(4, ((0, 1, BLUE), (0, 3, BLUE)))
-    bp = find_bipartition(g)
-    assert bp.is_balanced
-    assert symbolic_determinant(g, bp, (1, 1)) == ()
+    sides = find_bipartition(g)
+    assert sides == (0, 1, 0, 1)
+    assert symbolic_determinant(g, sides, (1, 1)) == ()
 
 
 def test_symbolic_determinant_unbalanced_rejected():
     g = ColoredGraph(3, ((0, 1, BLUE), (0, 2, BLUE)))
-    bp = find_bipartition(g)
+    sides = find_bipartition(g)
     with pytest.raises(ValueError, match="differ in size"):
-        symbolic_determinant(g, bp, (1, 1))
+        symbolic_determinant(g, sides, (1, 1))
 
 
 def test_symbolic_determinant_rejects_a_bipartition_of_another_graph():
@@ -169,34 +169,34 @@ def test_symbolic_determinant_rejects_a_bipartition_of_another_graph():
     # as a zero determinant, nor a 2-vertex one fail with an IndexError
     for sides in ((0, 1, 0, 1, 0, 1), (0, 1)):
         with pytest.raises(ValueError, match=f"{len(sides)} sides for a graph on 4 vertices"):
-            symbolic_determinant(C4, Bipartition(sides), (1, 2, 3, 4))
+            symbolic_determinant(C4, sides, (1, 2, 3, 4))
 
 
 def test_symbolic_determinant_rejects_a_side_label_other_than_0_or_1():
     # the label 2 used to fail as KeyError: 2 while looking up the row
     path = ColoredGraph(4, ((0, 1, RED), (1, 2, BLUE), (2, 3, BLUE)))
     with pytest.raises(ValueError, match="vertex 2 on side 2, not 0 or 1"):
-        symbolic_determinant(path, Bipartition((0, 1, 2, 2)), (1, 1, 1))
+        symbolic_determinant(path, (0, 1, 2, 2), (1, 1, 1))
 
 
 def test_symbolic_determinant_rejects_a_bipartition_that_does_not_separate_an_edge():
     # vertices 0 and 2 share side 0, and edge 1 joins them
     path = ColoredGraph(4, ((0, 1, RED), (0, 2, BLUE), (2, 3, BLUE)))
     with pytest.raises(ValueError, match="bipartition does not separate edge 1"):
-        symbolic_determinant(path, Bipartition((0, 1, 0, 1)), (1, 1, 1))
+        symbolic_determinant(path, (0, 1, 0, 1), (1, 1, 1))
 
 
 def test_symbolic_determinant_weight_count_checked():
-    bp = find_bipartition(K2_RED)
+    sides = find_bipartition(K2_RED)
     with pytest.raises(ValueError, match="one weight per edge"):
-        symbolic_determinant(K2_RED, bp, (1, 2))
+        symbolic_determinant(K2_RED, sides, (1, 2))
 
 
 def test_symbolic_determinant_rejects_negative_weights():
     # 2^-1 would put a float into the integer-exact reference
-    bp = find_bipartition(K2_RED)
+    sides = find_bipartition(K2_RED)
     with pytest.raises(ValueError, match="non-negative"):
-        symbolic_determinant(K2_RED, bp, (-1,))
+        symbolic_determinant(K2_RED, sides, (-1,))
 
 
 def test_symbolic_determinant_matches_enumeration():
@@ -207,20 +207,20 @@ def test_symbolic_determinant_matches_enumeration():
         inst = gen_instance(GenSpec(n=n, extra_edges=rng.randint(0, cap),
                                     seed=seed, bipartite=True))
         g = inst.graph
-        bp = find_bipartition(g)
+        sides = find_bipartition(g)
         weights = sample_isolation_weights(len(g.edges), rng)
-        assert symbolic_determinant(g, bp, weights) == \
-            enumeration_polynomial(g, bp, weights)
+        assert symbolic_determinant(g, sides, weights) == \
+            enumeration_polynomial(g, sides, weights)
     # A lone anti-diagonal matching: its one coefficient is -2^(3+5), exactly
     # minus the product of the row sums that bounds every coefficient, the
     # most negative value the digit decoding has to read back; a lone
     # diagonal matching gives the most positive one.
     for edges, sign in ((((0, 3, RED), (1, 2, BLUE)), -1), (((0, 2, RED), (1, 3, BLUE)), 1)):
         g = ColoredGraph(4, edges)
-        bp = find_bipartition(g)
-        assert (bp.left, bp.right) == ((0, 1), (2, 3))
-        assert symbolic_determinant(g, bp, (3, 5)) == \
-            enumeration_polynomial(g, bp, (3, 5)) == (0, sign * 2 ** 8)
+        sides = find_bipartition(g)
+        assert sides == (0, 0, 1, 1)
+        assert symbolic_determinant(g, sides, (3, 5)) == \
+            enumeration_polynomial(g, sides, (3, 5)) == (0, sign * 2 ** 8)
 
 
 def test_symbolic_determinant_degree_bounds():
@@ -238,8 +238,8 @@ def test_symbolic_determinant_degree_bounds():
 def test_cancellation_zero_determinant_with_matchings_present():
     # both perfect matchings of the all-blue C4 have weight sum 2 and
     # opposite sign, so this draw cancels to the zero polynomial
-    bp = find_bipartition(C4)
-    det = symbolic_determinant(C4, bp, (1, 1, 1, 1))
+    sides = find_bipartition(C4)
+    det = symbolic_determinant(C4, sides, (1, 1, 1, 1))
     assert det == ()
     # only the sound direction holds: the graph does have perfect matchings
     assert len(list(enumerate_perfect_matchings(C4))) == 2
@@ -268,8 +268,7 @@ def test_algebraic_decide_no_reports_error_bound():
 def test_algebraic_decide_unbalanced_sides_exact_no():
     star = ColoredGraph(4, ((0, 1, BLUE), (0, 2, BLUE), (0, 3, BLUE)))
     decision = algebraic_em_decide(EmInstance(star, 0), trials=3, seed=1)
-    assert decision == EmDecision(answer=False, error_bound=0.0,
-                                  trials_run=0, transcript=())
+    assert decision == EmDecision(answer=False, error_bound=0.0, transcript=())
 
 
 @pytest.mark.parametrize("k", [-1, 2, 5])
@@ -277,8 +276,7 @@ def test_algebraic_decide_red_count_out_of_range_exact_no(k):
     # no perfect matching of n vertices has fewer than 0 or more than n/2
     # red edges, so no trial is needed and the "no" is exact
     decision = algebraic_em_decide(EmInstance(K2_RED, k), trials=5, seed=0)
-    assert decision == EmDecision(answer=False, error_bound=0.0,
-                                  trials_run=0, transcript=())
+    assert decision == EmDecision(answer=False, error_bound=0.0, transcript=())
 
 
 @pytest.mark.parametrize("graph, k", [
@@ -288,8 +286,7 @@ def test_algebraic_decide_red_count_out_of_range_exact_no(k):
 def test_algebraic_decide_k_above_red_edges_exact_no(graph, k):
     # a perfect matching has no more red edges than the graph has
     decision = algebraic_em_decide(EmInstance(graph, k), trials=5, seed=0)
-    assert decision == EmDecision(answer=False, error_bound=0.0,
-                                  trials_run=0, transcript=())
+    assert decision == EmDecision(answer=False, error_bound=0.0, transcript=())
 
 
 def test_algebraic_decide_rejects_non_bipartite():
@@ -385,10 +382,10 @@ def test_field_support_matches_enumeration_and_symbolic_determinant(family):
                  if algebraic_em_decide(EmInstance(graph, k), trials=1, seed=seed).answer}
         enumerated = {sum(graph.edges[e][2] == RED for e in matching)
                       for matching in enumerate_perfect_matchings(graph)}
-        bp = find_bipartition(graph)
+        sides = find_bipartition(graph)
         symbolic = set()
-        if bp.is_balanced:
-            det = symbolic_determinant(graph, bp, tuple(1 << e for e in range(len(graph.edges))))
+        if 2 * sum(sides) == graph.n:
+            det = symbolic_determinant(graph, sides, tuple(1 << e for e in range(len(graph.edges))))
             symbolic = {k for k, c in enumerate(det) if c}
         assert field == enumerated == symbolic, (family, seed, graph)
     empty = algebraic_em_decide(EmInstance(ColoredGraph(0, ()), 0), trials=3, seed=0)
@@ -643,12 +640,6 @@ def test_bcpm_via_em_bounded_queries():
 def test_parity_decisions_are_truthy_objects():
     assert isinstance(cpm_via_em(EmInstance(K2_RED, 1)), ParityDecision)
     assert bool(bcpm_via_em(EmInstance(K2_RED, 1)))
-
-
-def test_bipartition_sides_accessors():
-    bp = Bipartition((0, 1, 1))
-    assert bp.left == (0,) and bp.right == (1, 2)
-    assert not bp.is_balanced
 
 
 def test_yes_and_error_reads_every_result_style():

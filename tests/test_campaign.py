@@ -470,6 +470,21 @@ def test_merge_reports_shifts_instance_ids():
     assert merged.seed == 42
 
 
+def test_merge_reports_shifts_the_ids_of_skip_notes():
+    # every n=4 graph with five edges has a triangle, so algebraic sits each
+    # instance out and brute-em has no engine to compare with: all six of
+    # each campaign are skipped, with notes numbered 0..5
+    reports = [randomized_campaign(6, GenSpec(n=4, extra_edges=3, seed=seed),
+                                   engines=("brute-em", "algebraic"))
+               for seed in (23, 29)]
+    merged = merge_reports(reports, seed=0)
+    assert merged.skipped == 12
+    heads, tails = zip(*(note.split(":", 1) for note in merged.budget_notes))
+    assert heads == tuple(f"instance {iid}" for iid in range(12))
+    assert list(tails) == [note.split(":", 1)[1]
+                           for report in reports for note in report.budget_notes]
+
+
 def test_randomized_campaign_zero_instances():
     report = randomized_campaign(0, GenSpec(n=4))
     assert report.instances_run == 0 and not report.ok

@@ -217,7 +217,7 @@ def test_every_solver_row_agrees_with_brute_force(tmp_path, capsys, problem, eng
                 assert brute_force_answer(problem, instance, witness)[0], (text, out)
         elif not yes and engine == "algebraic":
             # 2^-trials after a sure no, 0 when the sides differ in size
-            exact = not find_bipartition(instance.graph).is_balanced
+            exact = 2 * sum(find_bipartition(instance.graph)) != instance.graph.n
             assert out[1:] == [f"error-bound {0 if exact else 2.0 ** -40:.3g}"], (text, out)
         else:
             assert len(out) == 1, (text, out)
@@ -312,6 +312,31 @@ def test_verify_random_runs_every_engine(tmp_path, capsys):
     assert doc["engine_seconds"].keys() == {
         "algebraic", "brute-cpm", "brute-em", "cpm-via-em", "via-tkpm"}
     assert [row["engine"] for row in doc["detection"]] == ["algebraic"]
+
+
+def test_verify_prints_skip_notes_with_merged_ids(monkeypatch, capsys):
+    # with brute-em and algebraic alone, a non-bipartite instance leaves
+    # nothing to compare, so verify skips it and prints its note; the note's
+    # id counts across the whole size mix, instance i being generated with
+    # seed 3 + i at the size of its share
+    monkeypatch.setattr(cli, "ENGINES", ("brute-em", "algebraic"))
+    assert main(["verify", "--random", "--count", "12", "--seed", "3"]) == 0
+    summary, notes = capsys.readouterr().out.split("\n", 1)
+    blocks = notes.rstrip("\n").split("\n\n")
+    skipped = int(summary.split()[-1])
+    assert skipped == len(blocks) > 0
+    share = 12 // len(cli._VERIFY_SIZES)
+    ids = []
+    for block in blocks:
+        head, text = block.split("\n", 1)
+        iid = int(head.removeprefix("instance ").split(":")[0])
+        assert head == (f"instance {iid}: skipped, not bipartite, so no problem family "
+                        "had two engines to compare")
+        n, extra = cli._VERIFY_SIZES[iid // share]
+        spec = GenSpec(n=n, extra_edges=extra, red_prob=0.5, seed=3 + iid)
+        assert text + "\n" == format_em_instance(gen_instance(spec))
+        ids.append(iid)
+    assert ids == sorted(set(ids)) and ids[-1] >= share
 
 
 def test_verify_random_requires_count(capsys):

@@ -10,12 +10,7 @@ import random
 
 from exactmatch.algebraic import determinant
 
-
-def perm_sign(perm):
-    inversions = sum(
-        1 for i in range(len(perm)) for j in range(i + 1, len(perm))
-        if perm[i] > perm[j])
-    return -1 if inversions % 2 else 1
+from test_algebraic import perm_sign
 
 
 def determinant_oracle(matrix):

@@ -15,7 +15,6 @@ from exactmatch.graphs import (
     EmInstance,
     TkpmInstance,
     WeightedGraph,
-    as_matching,
     is_perfect_matching,
     red_count,
     top_k_weight,
@@ -145,10 +144,6 @@ def test_top_k_weight_monotone_and_total():
 def test_top_k_weight_rejects_negative_k():
     with pytest.raises(ValueError):
         top_k_weight((1,), (0,), -1)
-
-
-def test_as_matching_normalizes():
-    assert as_matching([3, 1, 3, 0]) == (0, 1, 3)
 
 
 def test_immutability():
