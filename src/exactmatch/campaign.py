@@ -18,8 +18,8 @@ positive error bound, a "probably no". One from a randomized engine against
 a brute-force "yes" is a statistical event, recorded separately; an
 impossible answer (a "yes" against a brute-force "no", or two exact answers
 differing) is a hard disagreement, and so is an engine that crashes, which
-does not stop the campaign. Every reported event embeds the serialized
-instance so it can be replayed on its own.
+does not stop the campaign. Every reported event and Skip record embeds
+the serialized instance so it can be replayed on its own.
 
 The exhaustive stream is cheap to hold whole: the graphs of one structure
 share each edge's blue and red (u, v, colour) triple, the instance types
@@ -33,7 +33,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -67,32 +67,41 @@ class Disagreement:
     engine_b: str
     verdict_a: str
     verdict_b: str
-    kind: str                    # "hard" or "statistical"
     instance_text: str
     seed: Optional[int] = None
 
 
 @dataclass(frozen=True)
+class Skip:
+    """One instance a campaign left uncompared: why, and its serialized text."""
+
+    instance_id: int
+    reason: str
+    instance_text: str
+
+
+@dataclass(frozen=True)
 class CampaignReport:
-    """Outcome of one campaign. At most one hard record and one statistical
-    record are emitted per instance, so agreements + hard disagreements
-    add up to the instances actually compared."""
+    """Outcome of one campaign. The tuple a record sits in is its kind: at
+    most one hard disagreement and one statistical event are emitted per
+    instance run, and each instance not run is one Skip."""
 
     instances_run: int
-    agreements: int
     disagreements: tuple[Disagreement, ...]
     statistical_events: tuple[Disagreement, ...]
     engine_seconds: tuple[tuple[str, float], ...]
     detection: tuple[tuple[str, int, int], ...]   # (engine, detected, yes_total)
     seed: int
-    skipped: int = 0
-    # the reason for every skipped instance, with its text: budget trips and
-    # bipartite sit-outs that left no problem family two verdicts to compare
-    budget_notes: tuple[str, ...] = ()
+    skips: tuple[Skip, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.agreements + len(self.disagreements) != self.instances_run:
-            raise ValueError("agreements + disagreements must equal instances run")
+    @property
+    def agreements(self) -> int:
+        """The instances run without a hard disagreement."""
+        return self.instances_run - len(self.disagreements)
+
+    @property
+    def skipped(self) -> int:
+        return len(self.skips)
 
     @property
     def ok(self) -> bool:
@@ -102,65 +111,64 @@ class CampaignReport:
 
 
 def report_to_json(report: CampaignReport) -> str:
-    """Serialize a report with a stable field order so runs can be diffed:
-    the dataclass fields in declaration order, events sorted by instance id
-    without a None seed, engine seconds as a name-sorted dict rounded to 6
-    places, and detection as records."""
-    def events(records: tuple[Disagreement, ...]) -> list[dict]:
-        docs = [asdict(d) for d in sorted(records, key=lambda d: d.instance_id)]
-        for doc in docs:
-            if doc["seed"] is None:
-                del doc["seed"]
-        return docs
+    """Serialize a report with a stable key order so runs can be diffed:
+    the fields in declaration order, agreements after instances_run and
+    skipped before skips, records sorted by instance id without a None
+    seed, engine seconds as a name-sorted dict rounded to 6 places, and
+    detection as records."""
+    def records(items: tuple) -> list[dict]:
+        return [{key: value for key, value in asdict(r).items() if value is not None}
+                for r in sorted(items, key=lambda r: r.instance_id)]
 
-    doc = {f.name: getattr(report, f.name) for f in fields(report)}
-    doc.update(
-        disagreements=events(report.disagreements),
-        statistical_events=events(report.statistical_events),
-        engine_seconds={name: round(sec, 6) for name, sec in sorted(report.engine_seconds)},
-        detection=[{"engine": name, "detected": det, "yes_total": tot}
-                   for name, det, tot in report.detection])
-    return json.dumps(doc, indent=2)
+    return json.dumps({
+        "instances_run": report.instances_run,
+        "agreements": report.agreements,
+        "disagreements": records(report.disagreements),
+        "statistical_events": records(report.statistical_events),
+        "engine_seconds": {name: round(sec, 6) for name, sec in sorted(report.engine_seconds)},
+        "detection": [{"engine": name, "detected": det, "yes_total": tot}
+                      for name, det, tot in report.detection],
+        "seed": report.seed,
+        "skipped": report.skipped,
+        "skips": records(report.skips)}, indent=2)
+
+
+def _report(run, disagreements, statistical, skips, seconds, detection, seed) -> CampaignReport:
+    """A CampaignReport from its records and from (engine, seconds) pairs and
+    (engine, detected, yes_total) triples, each summed per engine by name."""
+    totals: dict[str, float] = {}
+    for name, sec in seconds:
+        totals[name] = totals.get(name, 0.0) + sec
+    tallies: dict[str, tuple[int, int]] = {}
+    for name, det, tot in detection:
+        before = tallies.get(name, (0, 0))
+        tallies[name] = (before[0] + det, before[1] + tot)
+    return CampaignReport(
+        instances_run=run,
+        disagreements=tuple(disagreements),
+        statistical_events=tuple(statistical),
+        engine_seconds=tuple(sorted(totals.items())),
+        detection=tuple((name, *tallies[name]) for name in sorted(tallies)),
+        seed=seed,
+        skips=tuple(skips))
 
 
 def merge_reports(reports, seed: int) -> CampaignReport:
     """Combine campaign reports into one, shifting instance ids by each
     report's size so they stay unique; timings and counts accumulate."""
-    disagreements: list[Disagreement] = []
-    statistical: list[Disagreement] = []
-    seconds: dict[str, float] = {}
-    detected: dict[str, int] = {}
-    yes_total: dict[str, int] = {}
-    notes: list[str] = []
-    run = agreements = skipped = offset = 0
+    records: tuple[list, list, list] = ([], [], [])   # disagreements, statistical, skips
+    seconds: list[tuple[str, float]] = []
+    detection: list[tuple[str, int, int]] = []
+    run = offset = 0
     for report in reports:
-        disagreements += [replace(d, instance_id=d.instance_id + offset)
-                          for d in report.disagreements]
-        statistical += [replace(d, instance_id=d.instance_id + offset)
-                        for d in report.statistical_events]
-        for name, sec in report.engine_seconds:
-            seconds[name] = seconds.get(name, 0.0) + sec
-        for name, det, tot in report.detection:
-            detected[name] = detected.get(name, 0) + det
-            yes_total[name] = yes_total.get(name, 0) + tot
-        for note in report.budget_notes:
-            iid, rest = note.removeprefix("instance ").split(":", 1)
-            notes.append(f"instance {int(iid) + offset}:{rest}")
+        for merged, own in zip(records, (report.disagreements, report.statistical_events,
+                                         report.skips)):
+            merged += [replace(r, instance_id=r.instance_id + offset) for r in own]
+        seconds += report.engine_seconds
+        detection += report.detection
         run += report.instances_run
-        agreements += report.agreements
-        skipped += report.skipped
         offset += report.instances_run + report.skipped
-    return CampaignReport(
-        instances_run=run,
-        agreements=agreements,
-        disagreements=tuple(disagreements),
-        statistical_events=tuple(statistical),
-        engine_seconds=tuple(sorted(seconds.items())),
-        detection=tuple((name, detected[name], yes_total[name])
-                        for name in sorted(yes_total)),
-        seed=seed,
-        skipped=skipped,
-        budget_notes=tuple(notes))
+    return _report(run, *records, seconds, detection, seed)
 
 
 @lru_cache(maxsize=None)
@@ -319,18 +327,17 @@ def _cross_check(cases, engines: dict, trials: int,
     raises any other exception than BudgetExhausted makes the instance's
     hard Disagreement: its verdict is "raised <exception type>", set against
     the first other engine of its family that answered (empty strings when
-    none did), and the loop goes on. Otherwise an instance is skipped, noted
-    in budget_notes and none of its seconds booked when an engine raises
+    none did), and the loop goes on. Otherwise an instance is skipped, with
+    a Skip record and none of its seconds booked, when an engine raises
     BudgetExhausted on it, or when the sit-outs leave no problem family with
     two verdicts, since then nothing was compared.
     """
     disagreements: list[Disagreement] = []
     statistical: list[Disagreement] = []
-    notes: list[str] = []
+    skips: list[Skip] = []
     seconds = dict.fromkeys(engines, 0.0)
-    detected: dict[str, int] = {}
-    yes_total: dict[str, int] = {}
-    run = skipped = 0
+    detection: list[tuple[str, int, int]] = []   # (engine, yes answered, 1) per yes instance
+    run = 0
 
     for iid, instance, case_seed in cases:
         # (name, family, Answer, seconds) of each engine that answered, and
@@ -356,31 +363,29 @@ def _cross_check(cases, engines: dict, trials: int,
                 continue
             answers.append((name, family, answer, time.perf_counter() - t0))
         if exhausted is not None and not crashes:
-            skipped += 1
-            notes.append(f"instance {iid}: skipped, {exhausted}\n{format_em_instance(instance)}")
+            skips.append(Skip(iid, str(exhausted), format_em_instance(instance)))
             continue
         if len({family for _, family, _, _ in answers}) == len(answers) and not crashes:
             # every family that ran has one answer, so nothing was compared
-            skipped += 1
-            notes.append(f"instance {iid}: skipped, not bipartite, so no problem family "
-                         f"had two engines to compare\n{format_em_instance(instance)}")
+            skips.append(Skip(iid, "not bipartite, so no problem family had two engines "
+                                   "to compare", format_em_instance(instance)))
             continue
         run += 1
         for name, _, _, elapsed in answers + crashes:
             seconds[name] += elapsed
 
-        found: dict[str, Disagreement] = {}   # kind -> first event of that kind
+        found: dict[str, Disagreement] = {}   # "hard" or "statistical" -> first such event
         if crashes:
             na, fa, va, _ = crashes[0]
             nb, vb = next(((n_, a_.verdict) for n_, f_, a_, _ in answers if f_ == fa), ("", ""))
-            found["hard"] = Disagreement(iid, na, nb, va, vb, "hard",
-                                         format_em_instance(instance), case_seed)
+            found["hard"] = Disagreement(iid, na, nb, va, vb, format_em_instance(instance),
+                                         case_seed)
         for (na, fa, a, _), (nb, fb, b, _) in itertools.combinations(answers, 2):
             if fa != fb or a.yes == b.yes:
                 continue   # the same answer: two noes agree, however weak either is
             kind = "statistical" if (b if a.yes else a).error_bound else "hard"
             if kind not in found:
-                found[kind] = Disagreement(iid, na, nb, a.verdict, b.verdict, kind,
+                found[kind] = Disagreement(iid, na, nb, a.verdict, b.verdict,
                                            format_em_instance(instance), case_seed)
         if "hard" in found:
             disagreements.append(found["hard"])
@@ -393,20 +398,9 @@ def _cross_check(cases, engines: dict, trials: int,
         if truth:
             for name, family, answer, _ in answers:
                 if family == "em" and answer.error_bound is not None:
-                    yes_total[name] = yes_total.get(name, 0) + 1
-                    detected[name] = detected.get(name, 0) + answer.yes
+                    detection.append((name, int(answer.yes), 1))
 
-    return CampaignReport(
-        instances_run=run,
-        agreements=run - len(disagreements),
-        disagreements=tuple(disagreements),
-        statistical_events=tuple(statistical),
-        engine_seconds=tuple(sorted(seconds.items())),
-        detection=tuple((name, detected[name], yes_total[name])
-                        for name in sorted(yes_total)),
-        seed=seed,
-        skipped=skipped,
-        budget_notes=tuple(notes))
+    return _report(run, disagreements, statistical, skips, seconds.items(), detection, seed)
 
 
 def exhaustive_sweep(
@@ -418,7 +412,7 @@ def exhaustive_sweep(
     budget, over the covering stream.
 
     With a budget, an instance on which either engine exhausts it is skipped
-    and recorded in budget_notes (it does not count as run); the default is
+    with a Skip record (it does not count as run); the default is
     unbudgeted, which always terminates at these sizes.
     """
     cases = ((iid, instance, None) for iid, instance

@@ -131,13 +131,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.exhaustive:
         if args.max_n is None:
-            print("error: --exhaustive requires --max-n", file=sys.stderr)
-            return 2
+            raise ValueError("--exhaustive requires --max-n")
+        if args.count is not None:
+            raise ValueError("--exhaustive does not take --count")
         report = exhaustive_sweep(args.max_n, seed=args.seed)
     else:
         if args.count is None or args.count < 1:
-            print("error: --random requires a --count of at least 1", file=sys.stderr)
-            return 2
+            raise ValueError("--random requires a --count of at least 1")
+        if args.max_n is not None:
+            raise ValueError("--random does not take --max-n")
         shares = [args.count // len(_VERIFY_SIZES)] * len(_VERIFY_SIZES)
         shares[-1] += args.count - sum(shares)
         reports = []
@@ -153,12 +155,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"instances {report.instances_run} agreements {report.agreements} "
           f"disagreements {len(report.disagreements)} "
           f"statistical {len(report.statistical_events)} skipped {report.skipped}")
-    for note in report.budget_notes:
-        print(note)
-    for event in report.disagreements + report.statistical_events:
-        print(f"{event.kind}: {event.engine_a}={event.verdict_a} "
-              f"{event.engine_b}={event.verdict_b} on instance {event.instance_id}")
-        print(event.instance_text, end="")
+    for skip in report.skips:
+        print(f"instance {skip.instance_id}: skipped, {skip.reason}\n{skip.instance_text}")
+    for kind, events in (("hard", report.disagreements),
+                         ("statistical", report.statistical_events)):
+        for event in events:
+            print(f"{kind}: {event.engine_a}={event.verdict_a} "
+                  f"{event.engine_b}={event.verdict_b} on instance {event.instance_id}")
+            print(event.instance_text, end="")
     return 3 if report.disagreements else 0
 
 

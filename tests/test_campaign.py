@@ -24,6 +24,7 @@ from exactmatch.campaign import (
     Answer,
     CampaignReport,
     Disagreement,
+    Skip,
     exhaustive_instances,
     exhaustive_sweep,
     graph_classes_with_pm,
@@ -374,10 +375,10 @@ def test_exhaustive_sweep_budget_skips_are_recorded():
     report = exhaustive_sweep(2, budget=EnumerationBudget(max_nodes=2))
     assert report.instances_run == 0
     assert report.skipped == 4
-    assert len(report.budget_notes) == 4
-    for note in report.budget_notes:
-        assert "skipped" in note
-        assert "p em 2 1" in note   # the embedded instance text
+    assert [skip.instance_id for skip in report.skips] == [0, 1, 2, 3]
+    for skip in report.skips:
+        assert skip.reason.startswith("enumeration budget exhausted")
+        assert skip.instance_text.startswith("p em 2 1")
     assert not report.disagreements and not report.ok   # nothing was compared
 
 
@@ -409,7 +410,7 @@ def test_exhaustive_sweep_reports_replayable_hard_disagreements(monkeypatch):
     assert report.disagreements and not report.statistical_events
     assert report.agreements == report.instances_run - len(report.disagreements)
     for d in report.disagreements:
-        assert (d.kind, d.engine_a, d.engine_b) == ("hard", "brute-em", "via-tkpm")
+        assert (d.engine_a, d.engine_b) == ("brute-em", "via-tkpm")
         assert (d.verdict_a, d.verdict_b) == ("no", "yes")
         assert d.seed is None
         instance = parse_em_instance(d.instance_text)
@@ -417,54 +418,60 @@ def test_exhaustive_sweep_reports_replayable_hard_disagreements(monkeypatch):
         assert brute_em(instance) is None
 
 
-def test_report_invariant_enforced():
-    with pytest.raises(ValueError, match="must equal instances run"):
-        CampaignReport(
-            instances_run=2, agreements=0, disagreements=(),
-            statistical_events=(), engine_seconds=(), detection=(), seed=0)
-
-
-def sample_disagreement(iid, kind="hard", seed=None):
+def sample_disagreement(iid, seed=None):
     return Disagreement(
         instance_id=iid, engine_a="brute-em", engine_b="via-tkpm",
-        verdict_a="yes", verdict_b="no", kind=kind,
+        verdict_a="yes", verdict_b="no",
         instance_text="p em 2 1 1\ne 0 1 r\n", seed=seed)
+
+
+def sample_skip(iid):
+    return Skip(instance_id=iid, reason="not bipartite", instance_text="p em 2 1 1\ne 0 1 r\n")
 
 
 def test_report_to_json_stable_and_sorted():
     report = CampaignReport(
-        instances_run=3, agreements=2,
+        instances_run=3,
         disagreements=(sample_disagreement(7, seed=3),),
-        statistical_events=(sample_disagreement(2, kind="statistical"),),
+        statistical_events=(sample_disagreement(2),),
         engine_seconds=(("via-tkpm", 0.1234567), ("brute-em", 0.5)),
         detection=(("algebraic", 4, 5),),
-        seed=11)
+        seed=11,
+        skips=(sample_skip(9), sample_skip(5)))
     doc = json.loads(report_to_json(report))
     assert list(doc) == [
         "instances_run", "agreements", "disagreements", "statistical_events",
-        "engine_seconds", "detection", "seed", "skipped", "budget_notes"]
+        "engine_seconds", "detection", "seed", "skipped", "skips"]
+    assert (doc["agreements"], doc["skipped"]) == (2, 2)
     assert doc["engine_seconds"] == {"brute-em": 0.5, "via-tkpm": 0.123457}
     assert doc["disagreements"][0]["instance_id"] == 7
     assert doc["disagreements"][0]["seed"] == 3
     assert "seed" not in doc["statistical_events"][0]
+    assert "kind" not in doc["disagreements"][0]
     assert doc["detection"] == [{"engine": "algebraic", "detected": 4, "yes_total": 5}]
+    assert doc["skips"] == [
+        {"instance_id": iid, "reason": "not bipartite", "instance_text": "p em 2 1 1\ne 0 1 r\n"}
+        for iid in (5, 9)]
     assert report_to_json(report) == report_to_json(report)
 
 
 def test_merge_reports_shifts_instance_ids():
+    # each report's ids run over its instances run and skipped alike
     r1 = CampaignReport(
-        instances_run=3, agreements=2, disagreements=(sample_disagreement(2),),
-        statistical_events=(), engine_seconds=(("brute-em", 1.0),),
-        detection=(("algebraic", 1, 2),), seed=0, skipped=1)
+        instances_run=3, disagreements=(sample_disagreement(2),),
+        statistical_events=(sample_disagreement(1),), engine_seconds=(("brute-em", 1.0),),
+        detection=(("algebraic", 1, 2),), seed=0, skips=(sample_skip(3),))
     r2 = CampaignReport(
-        instances_run=2, agreements=1, disagreements=(sample_disagreement(0),),
-        statistical_events=(), engine_seconds=(("brute-em", 0.5),),
-        detection=(("algebraic", 2, 2),), seed=1)
+        instances_run=2, disagreements=(sample_disagreement(0),),
+        statistical_events=(sample_disagreement(2),), engine_seconds=(("brute-em", 0.5),),
+        detection=(("algebraic", 2, 2),), seed=1, skips=(sample_skip(1),))
     merged = merge_reports([r1, r2], seed=42)
     assert merged.instances_run == 5
     assert merged.agreements == 3
-    assert merged.skipped == 1
+    assert merged.skipped == 2
     assert [d.instance_id for d in merged.disagreements] == [2, 4]
+    assert [e.instance_id for e in merged.statistical_events] == [1, 6]
+    assert [s.instance_id for s in merged.skips] == [3, 5]
     assert dict(merged.engine_seconds) == {"brute-em": 1.5}
     assert merged.detection == (("algebraic", 3, 4),)
     assert merged.seed == 42
@@ -473,16 +480,15 @@ def test_merge_reports_shifts_instance_ids():
 def test_merge_reports_shifts_the_ids_of_skip_notes():
     # every n=4 graph with five edges has a triangle, so algebraic sits each
     # instance out and brute-em has no engine to compare with: all six of
-    # each campaign are skipped, with notes numbered 0..5
+    # each campaign are skipped, with records numbered 0..5
     reports = [randomized_campaign(6, GenSpec(n=4, extra_edges=3, seed=seed),
                                    engines=("brute-em", "algebraic"))
                for seed in (23, 29)]
     merged = merge_reports(reports, seed=0)
     assert merged.skipped == 12
-    heads, tails = zip(*(note.split(":", 1) for note in merged.budget_notes))
-    assert heads == tuple(f"instance {iid}" for iid in range(12))
-    assert list(tails) == [note.split(":", 1)[1]
-                           for report in reports for note in report.budget_notes]
+    assert [skip.instance_id for skip in merged.skips] == list(range(12))
+    assert [replace(skip, instance_id=0) for skip in merged.skips] == [
+        replace(skip, instance_id=0) for report in reports for skip in report.skips]
 
 
 def test_randomized_campaign_zero_instances():
@@ -513,7 +519,6 @@ def test_randomized_campaign_three_engines_bipartite():
     assert report.instances_run == 120
     assert not report.disagreements          # hard conflicts are impossible
     for event in report.statistical_events:  # one-sided misses may occur
-        assert event.kind == "statistical"
         assert "probably-no" in (event.verdict_a, event.verdict_b)
     detection = dict((name, (det, tot)) for name, det, tot in report.detection)
     assert "algebraic" in detection
@@ -529,7 +534,7 @@ def test_randomized_campaign_skips_algebraic_on_non_bipartite():
     # nothing is compared on it and it counts as skipped, not run
     assert report.instances_run + report.skipped == 80
     assert report.skipped > 0
-    assert len(report.budget_notes) == report.skipped
+    assert len(report.skips) == report.skipped
     assert not report.disagreements
     assert report.ok == (report.instances_run > 0)
 
@@ -565,7 +570,6 @@ def test_randomized_campaign_reports_rigged_hard_disagreements(monkeypatch):
     assert report.disagreements
     assert report.agreements + len(report.disagreements) == 60
     for d in report.disagreements:
-        assert d.kind == "hard"
         assert (d.verdict_a, d.verdict_b) == ("no", "yes")
         # replay from the embedded text reproduces the brute verdict
         replayed = parse_em_instance(d.instance_text)
@@ -591,7 +595,7 @@ def test_randomized_campaign_reports_crashing_engines_and_goes_on(monkeypatch):
     assert {d.instance_id for d in report.disagreements} == odd
     assert dict(report.engine_seconds).keys() == {"crasher", "brute-em"}
     for d in report.disagreements:
-        assert (d.kind, d.engine_a, d.engine_b) == ("hard", "crasher", "brute-em")
+        assert (d.engine_a, d.engine_b) == ("crasher", "brute-em")
         replayed = parse_em_instance(d.instance_text)
         assert replayed.k % 2
         assert d.verdict_a == "raised IndexError"
@@ -653,7 +657,8 @@ def test_randomized_campaign_rigged_statistical_events(monkeypatch):
     report = randomized_campaign(60, template, engines=("brute-em", "hedger"))
     assert not report.disagreements
     assert report.statistical_events
-    assert all(e.kind == "statistical" for e in report.statistical_events)
+    assert all((e.verdict_a, e.verdict_b) == ("yes", "probably-no")
+               for e in report.statistical_events)
     # instances where brute also said no count as plain agreements
     assert len(report.statistical_events) < 60
 
@@ -734,7 +739,7 @@ def test_an_algebraic_row_that_drops_its_bound_turns_misses_hard(monkeypatch):
     mutant = randomized_campaign(40, template, engines=engines, trials=1)
     assert not mutant.statistical_events
     assert {d.instance_id for d in mutant.disagreements} == misses
-    assert all(d.kind == "hard" for d in mutant.disagreements)
+    assert all(d.verdict_b == "no" for d in mutant.disagreements)
 
 
 def test_the_campaign_looks_for_each_bipartition_once(monkeypatch):

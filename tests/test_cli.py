@@ -289,6 +289,17 @@ def test_verify_exhaustive_requires_max_n(capsys):
     assert "--max-n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--exhaustive", "--max-n", "2", "--count", "99"], "--exhaustive does not take --count"),
+    (["--random", "--count", "4", "--max-n", "2"], "--random does not take --max-n"),
+], ids=["exhaustive with count", "random with max-n"])
+def test_verify_rejects_the_other_modes_option(argv, message, capsys):
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("max_n", ["1", "0", "-2"])
 def test_verify_exhaustive_rejects_empty_sweep(max_n, capsys):
     assert main(["verify", "--exhaustive", "--max-n", max_n]) == 2
@@ -314,13 +325,15 @@ def test_verify_random_runs_every_engine(tmp_path, capsys):
     assert [row["engine"] for row in doc["detection"]] == ["algebraic"]
 
 
-def test_verify_prints_skip_notes_with_merged_ids(monkeypatch, capsys):
+def test_verify_prints_skip_notes_with_merged_ids(tmp_path, monkeypatch, capsys):
     # with brute-em and algebraic alone, a non-bipartite instance leaves
     # nothing to compare, so verify skips it and prints its note; the note's
     # id counts across the whole size mix, instance i being generated with
     # seed 3 + i at the size of its share
     monkeypatch.setattr(cli, "ENGINES", ("brute-em", "algebraic"))
-    assert main(["verify", "--random", "--count", "12", "--seed", "3"]) == 0
+    report_file = tmp_path / "report.json"
+    assert main(["verify", "--random", "--count", "12", "--seed", "3",
+                 "--json", str(report_file)]) == 0
     summary, notes = capsys.readouterr().out.split("\n", 1)
     blocks = notes.rstrip("\n").split("\n\n")
     skipped = int(summary.split()[-1])
@@ -337,6 +350,9 @@ def test_verify_prints_skip_notes_with_merged_ids(monkeypatch, capsys):
         assert text + "\n" == format_em_instance(gen_instance(spec))
         ids.append(iid)
     assert ids == sorted(set(ids)) and ids[-1] >= share
+    doc = json.loads(report_file.read_text())
+    assert [skip["instance_id"] for skip in doc["skips"]] == ids
+    assert doc["skipped"] == len(ids)
 
 
 def test_verify_random_requires_count(capsys):
@@ -354,10 +370,10 @@ def test_verify_random_rejects_count_below_one(count, capsys):
 
 def test_verify_reports_disagreement_with_exit_3(monkeypatch, capsys):
     rigged = CampaignReport(
-        instances_run=1, agreements=0,
+        instances_run=1,
         disagreements=(Disagreement(
             instance_id=0, engine_a="brute-em", engine_b="via-tkpm",
-            verdict_a="yes", verdict_b="no", kind="hard",
+            verdict_a="yes", verdict_b="no",
             instance_text=K2_RED_K1),),
         statistical_events=(), engine_seconds=(), detection=(), seed=0)
     monkeypatch.setattr(cli, "exhaustive_sweep", lambda max_n, seed=0: rigged)
