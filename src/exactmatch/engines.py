@@ -12,9 +12,12 @@ before the first branch and again after every branching edge. A forced
 edge lies in every completion of the current partial matching, and every
 vertex below the branch vertex is already covered, so all completions
 share their canonical-key prefix and the next key entry is the branch
-edge: forcing never reorders the output. The search keeps its state on an
-explicit stack, so deep graphs cost no recursion depth, and it checks
-the one budget cap, the number of edges it places, itself.
+edge: forcing never reorders the output. A forced vertex has exactly one
+uncovered neighbour, so a forced move counts down the edges left around
+that neighbour alone, where a branching edge counts down around both of
+its endpoints. The search keeps its state on an explicit stack, so deep
+graphs cost no recursion depth, and it checks the one budget cap, the
+number of edges it places, itself.
 
 A leaf costs constant work. Next to the chosen edges the search keeps a
 running count per edge class (red and blue for a colored graph, one class
@@ -34,7 +37,7 @@ every matching.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -116,8 +119,9 @@ def _iter_unordered(graph: Graph,
     avail = list(map(len, adj))
     if 0 in avail:
         return
-    # settle checks the node budget with one comparison
-    max_nodes = budget.max_nodes if budget and budget.max_nodes is not None else math.inf
+    # the node budget is one int comparison; a search places far fewer
+    # than sys.maxsize edges
+    max_nodes = budget.max_nodes if budget and budget.max_nodes is not None else sys.maxsize
     covered = bytearray(n)
     chosen: list[int] = []
     choose = chosen.append
@@ -125,47 +129,74 @@ def _iter_unordered(graph: Graph,
     yielded = 0
     nodes = 0
 
-    def settle(eid: Optional[int], a: int, b: int, queue: list[int]):
-        """Place edge eid between a and b (none when eid is None), then
-        every forced move among the queued vertices and those the moves
-        leave with one available edge. Returns the undo log (length of
-        chosen before, vertices whose count was decremented) and whether
-        some vertex was left without edges."""
+    def force(queue: list[int], decs: list[int]) -> bool:
+        """Place every forced move among the queued vertices and those the
+        moves leave with one available edge, logging each decremented
+        vertex in decs. True when some vertex was left without edges.
+
+        A vertex's count is the number of its adjacency entries whose
+        other end is uncovered. So a vertex w, queued when its count fell
+        to one and still uncovered when popped, has exactly one uncovered
+        neighbour x: a count of zero ends the cascade as dead, a self-loop
+        keeps the count at two or more and a parallel pair keeps it at
+        two. Once w and x are covered, none of w's entries points to an
+        uncovered vertex, so the move counts down around x alone."""
         nonlocal nodes
-        decs: list[int] = []
         dec = decs.append
-        log = (len(chosen), decs)
-        while True:
-            while eid is None and queue:
-                w = queue.pop()
-                if covered[w]:
-                    continue
-                # a queued vertex whose count hit zero ended the cascade
-                # as dead, so w has exactly one edge left
-                for e2, x in adj[w]:
-                    if not covered[x]:
-                        eid, a, b = e2, w, x
-                        break
-            if eid is None:
-                return log, False
+        push = queue.append
+        while queue:
+            w = queue.pop()
+            if covered[w]:
+                continue
+            # w's one uncovered neighbour
+            for eid, x in adj[w]:
+                if not covered[x]:
+                    break
             nodes += 1
             if nodes > max_nodes:
                 raise BudgetExhausted(yielded, nodes)
-            covered[a] = 1
-            covered[b] = 1
+            covered[w] = 1
+            covered[x] = 1
             choose(eid)
             counts[classes[eid]] += 1
-            eid = None
-            # a's neighbours, then b's: the order fixes the cascade
-            for _, w in adj[a] + adj[b]:
-                if not covered[w]:
-                    left = avail[w] - 1
-                    avail[w] = left
-                    dec(w)
+            for _, y in adj[x]:
+                if not covered[y]:
+                    left = avail[y] - 1
+                    avail[y] = left
+                    dec(y)
                     if left == 0:
-                        return log, True
+                        return True
                     if left == 1:
-                        queue.append(w)
+                        push(y)
+        return False
+
+    def settle(eid: int, a: int, b: int):
+        """Place the branching edge eid between a and b, counting down
+        around both, then the forced moves it leaves (force). Returns the
+        undo log (length of chosen before, vertices whose count was
+        decremented) and whether some vertex was left without edges."""
+        nonlocal nodes
+        decs: list[int] = []
+        log = (len(chosen), decs)
+        nodes += 1
+        if nodes > max_nodes:
+            raise BudgetExhausted(yielded, nodes)
+        covered[a] = 1
+        covered[b] = 1
+        choose(eid)
+        counts[classes[eid]] += 1
+        queue: list[int] = []
+        # a's neighbours, then b's: the order fixes the cascade
+        for _, w in adj[a] + adj[b]:
+            if not covered[w]:
+                left = avail[w] - 1
+                avail[w] = left
+                decs.append(w)
+                if left == 0:
+                    return log, True
+                if left == 1:
+                    queue.append(w)
+        return log, force(queue, decs)
 
     def undo(log) -> None:
         mark, decs = log
@@ -189,7 +220,7 @@ def _iter_unordered(graph: Graph,
             eid, other = incident[i]
             i += 1
             if other != b and not covered[other]:
-                log, dead = settle(eid, b, other, [])
+                log, dead = settle(eid, b, other)
                 if not dead:
                     frame[1] = i
                     frame[2] = log
@@ -197,7 +228,7 @@ def _iter_unordered(graph: Graph,
                 undo(log)
         return False
 
-    if settle(None, 0, 0, [v for v in range(n) if avail[v] == 1])[1]:
+    if force([v for v in range(n) if avail[v] == 1], []):
         return
     stack: list[list] = []   # frames [branch vertex, next adjacency index, undo log]
     v = 0

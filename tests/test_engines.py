@@ -213,6 +213,24 @@ def test_budget_counts_are_pinned(which, expected):
     assert [budget_outcome(graph, b) for b in budgets] == expected
 
 
+@pytest.mark.parametrize("cap, expected", [
+    (10, (0, 11)),
+    (1000, (0, 1001)),
+    (1018, (1, 1019)),
+    (10000, (62, 10001)),
+    (10027, ("complete", 64)),
+])
+def test_budget_counts_are_pinned_where_forced_moves_dominate(cap, expected):
+    # the gadget of a chain of paths and squares: forced cascades run
+    # along every five-edge path, 1,018 placements reach the first leaf
+    # and 10,027 finish the 64 matchings
+    chain = path_and_square_chain(6, 54, random.Random(96))
+    source = ColoredGraph(chain.n, tuple((u, v, RED if w % 3 == 0 else BLUE)
+                                         for u, v, w in chain.edges))
+    graph = gadgetize(EmInstance(source, 3))[0].graph
+    assert budget_outcome(graph, EnumerationBudget(max_nodes=cap)) == expected
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         EnumerationBudget(max_nodes=0)
@@ -448,6 +466,36 @@ def test_search_ignores_self_loops_like_the_oracle():
         assert brute_tkpm(TkpmInstance(g, k)) == brute_tkpm(
             TkpmInstance(WeightedGraph(g.n, g.edges[:len(g.edges) - len(loops)]), k))
     assert with_loops > 300
+
+
+def test_search_on_multigraphs_matches_the_oracles():
+    # parallel edges are matched each on its own and self-loops never; a
+    # forced vertex has one uncovered neighbour only because a parallel
+    # pair keeps its count at two and a self-loop at two or more
+    rng = random.Random(94)
+    multigraphs = 0
+    for _ in range(500):
+        g, _ = random_sparse_weighted_graph(rng)
+        if not g.edges:
+            continue
+        # copies of edges, half of them reversed, and loops, each with its
+        # own weight, at random edge ids
+        copies = [(v, u) if rng.random() < 0.5 else (u, v)
+                  for u, v, _ in rng.sample(g.edges, rng.randint(1, len(g.edges)))]
+        loops = [(v, v) for v in rng.sample(range(g.n), rng.randint(0, g.n))]
+        edges = list(g.edges) + [(u, v, rng.randint(0, 4)) for u, v in copies + loops]
+        rng.shuffle(edges)
+        g = WeightedGraph(g.n, tuple(edges))
+        multigraphs += 1
+        assert_search_lists_the_oracle_set(g)
+        k = rng.randint(0, g.n // 2 + 1)
+        best = brute_tkpm(TkpmInstance(g, k))
+        for threshold in range(sum(g.weights) + 2):
+            expected = best is not None and best[1] >= threshold
+            assert tkpm_reaches(TkpmInstance(g, k), threshold) is expected, (g, k, threshold)
+        colored = ColoredGraph(g.n, tuple((u, v, RED if w % 2 else BLUE) for u, v, w in g.edges))
+        assert_engines_match_their_oracles(colored, list(enumerate_perfect_matchings(colored)))
+    assert multigraphs > 300
 
 
 def rung_ladder(rungs):
