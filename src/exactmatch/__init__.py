@@ -34,7 +34,6 @@ from .campaign import (
 )
 from .engines import (
     BudgetExhausted,
-    EnumerationBudget,
     brute_bcpm,
     brute_cpm,
     brute_em,
@@ -90,7 +89,6 @@ __all__ = [
     "Disagreement",
     "EmDecision",
     "EmInstance",
-    "EnumerationBudget",
     "GadgetMap",
     "GenSpec",
     "InstanceFormatError",

@@ -42,7 +42,7 @@ from .algebraic import NotBipartite, algebraic_em_decide, bcpm_via_em, cpm_via_e
 from .algebraic import find_bipartition  # noqa: F401
 from .engines import (
     BudgetExhausted,
-    EnumerationBudget,
+    _check_max_nodes,
     brute_bcpm,
     brute_cpm,
     brute_em,
@@ -286,26 +286,27 @@ class Answer(NamedTuple):
 
 
 # (problem, `solve --engine` name) -> (campaign engine name or None,
-# solve(instance, seed, trials, budget) -> Answer): the one place to add an
-# engine or to read its result. Each callable uses only the options its
-# engine has and looks the engine up here at call time; the algebraic one
-# raises NotBipartite. A via-em row gives a zero bound as None: it is exact.
+# solve(instance, seed, trials, max_nodes) -> Answer): the one place to add
+# an engine or to read its result. Each callable uses only the options its
+# engine has (brute-em and via-tkpm the int node cap) and looks the engine
+# up here at call time; the algebraic one raises NotBipartite. A via-em row
+# gives a zero bound as None: it is exact.
 SOLVERS: dict[tuple[str, str], tuple[Optional[str], Callable[..., Answer]]] = {
-    ("em", "brute"): ("brute-em", lambda inst, seed, trials, budget:
-                      Answer((w := brute_em(inst, budget)) is not None, w)),
-    ("em", "via-tkpm"): ("via-tkpm", lambda inst, seed, trials, budget:
-                         Answer(decide_em_via_tkpm(inst, budget))),
-    ("em", "algebraic"): ("algebraic", lambda inst, seed, trials, budget: Answer(
+    ("em", "brute"): ("brute-em", lambda inst, seed, trials, max_nodes:
+                      Answer((w := brute_em(inst, max_nodes)) is not None, w)),
+    ("em", "via-tkpm"): ("via-tkpm", lambda inst, seed, trials, max_nodes:
+                         Answer(decide_em_via_tkpm(inst, max_nodes))),
+    ("em", "algebraic"): ("algebraic", lambda inst, seed, trials, max_nodes: Answer(
         (d := algebraic_em_decide(inst, trials, seed)).answer, error_bound=d.error_bound)),
-    ("tkpm", "brute"): (None, lambda inst, seed, trials, budget:
+    ("tkpm", "brute"): (None, lambda inst, seed, trials, max_nodes:
                         Answer(False) if (r := brute_tkpm(inst)) is None else Answer(True, *r)),
-    ("cpm", "brute"): ("brute-cpm", lambda inst, seed, trials, budget:
+    ("cpm", "brute"): ("brute-cpm", lambda inst, seed, trials, max_nodes:
                        Answer((w := brute_cpm(inst)) is not None, w)),
-    ("cpm", "via-em"): ("cpm-via-em", lambda inst, seed, trials, budget:
+    ("cpm", "via-em"): ("cpm-via-em", lambda inst, seed, trials, max_nodes:
                         Answer((d := cpm_via_em(inst)).answer, error_bound=d.error_bound or None)),
-    ("bcpm", "brute"): (None, lambda inst, seed, trials, budget:
+    ("bcpm", "brute"): (None, lambda inst, seed, trials, max_nodes:
                         Answer((w := brute_bcpm(inst)) is not None, w)),
-    ("bcpm", "via-em"): (None, lambda inst, seed, trials, budget:
+    ("bcpm", "via-em"): (None, lambda inst, seed, trials, max_nodes:
                          Answer((d := bcpm_via_em(inst)).answer, error_bound=d.error_bound or None)),
 }
 
@@ -315,11 +316,12 @@ ENGINES: dict[str, tuple[str, Callable[..., Answer]]] = {
 
 
 def _cross_check(cases, engines: dict, trials: int,
-                 budget: Optional[EnumerationBudget], seed: int) -> CampaignReport:
+                 max_nodes: Optional[int], seed: int) -> CampaignReport:
     """The one cross-check loop behind both campaigns.
 
     cases yields (instance id, instance, seed or None); engines maps a name
-    to an ENGINES entry, and each runner gets the case's seed, trials, budget.
+    to an ENGINES entry, and each runner gets the case's seed, trials and
+    max_nodes.
     An engine that raises NotBipartite sits the instance out. Detection
     tallies bounded EM answers on instances the first unbounded one calls yes.
     Answers are compared pairwise within a problem family, keeping at most
@@ -330,8 +332,11 @@ def _cross_check(cases, engines: dict, trials: int,
     none did), and the loop goes on. Otherwise an instance is skipped, with
     a Skip record and none of its seconds booked, when an engine raises
     BudgetExhausted on it, or when the sit-outs leave no problem family with
-    two verdicts, since then nothing was compared.
+    two verdicts, since then nothing was compared. A bad max_nodes raises
+    ValueError before the first case.
     """
+    if max_nodes is not None:
+        _check_max_nodes(max_nodes)
     disagreements: list[Disagreement] = []
     statistical: list[Disagreement] = []
     skips: list[Skip] = []
@@ -348,7 +353,7 @@ def _cross_check(cases, engines: dict, trials: int,
         for name, (family, runner) in engines.items():
             t0 = time.perf_counter()
             try:
-                answer = runner(instance, case_seed, trials, budget)
+                answer = runner(instance, case_seed, trials, max_nodes)
             except NotBipartite:
                 continue
             except BudgetExhausted as exc:
@@ -406,19 +411,20 @@ def _cross_check(cases, engines: dict, trials: int,
 def exhaustive_sweep(
         max_n: int,
         seed: int = 0,
-        budget: Optional[EnumerationBudget] = None,
+        max_nodes: Optional[int] = None,
         ) -> CampaignReport:
-    """Compare the ENGINES rows brute-em and via-tkpm, both given the
-    budget, over the covering stream.
+    """Compare the ENGINES rows brute-em and via-tkpm, both given the node
+    cap max_nodes, over the covering stream.
 
-    With a budget, an instance on which either engine exhausts it is skipped
-    with a Skip record (it does not count as run); the default is
-    unbudgeted, which always terminates at these sizes.
+    With a cap, an instance on which either engine exhausts it is skipped
+    with a Skip record (it does not count as run); the default is no cap,
+    which always terminates at these sizes. A cap that is not a positive
+    int raises ValueError before the first instance.
     """
     cases = ((iid, instance, None) for iid, instance
              in enumerate(exhaustive_instances(max_n, seed)))
     engines = {name: ENGINES[name] for name in ("brute-em", "via-tkpm")}
-    return _cross_check(cases, engines, 1, budget, seed)
+    return _cross_check(cases, engines, 1, max_nodes, seed)
 
 
 def randomized_campaign(

@@ -115,6 +115,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"error: engine {engine!r} is not available for "
               f"{args.problem} (choose from {', '.join(choices)})", file=sys.stderr)
         return 2
+    if args.trials < 1:
+        raise ValueError("trials must be positive")
     parse = parse_tkpm_instance if args.problem == "tkpm" else parse_em_instance
     answer = row[1](_read_instance(args.infile, parse), args.seed, args.trials, None)
     if not answer.yes:

@@ -16,7 +16,7 @@ edge: forcing never reorders the output. A forced vertex has exactly one
 uncovered neighbour, so a forced move counts down the edges left around
 that neighbour alone, where a branching edge counts down around both of
 its endpoints. The search keeps its state on an explicit stack, so deep
-graphs cost no recursion depth, and it checks the one budget cap, the
+graphs cost no recursion depth, and it checks its one cap, max_nodes, the
 number of edges it places, itself.
 
 A leaf costs constant work. Next to the chosen edges the search keeps a
@@ -38,7 +38,6 @@ every matching.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .graphs import EmInstance, Graph, Matching, TkpmInstance
@@ -56,26 +55,6 @@ class BudgetExhausted(RuntimeError):
         self.nodes_seen = nodes_seen
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """The one cap on the enumeration effort; None means unlimited.
-
-    max_nodes caps the edges the search places, forced or branched, over
-    the whole search (an edge placed again after backtracking counts
-    again). Every leaf places n/2 edges, so the cap bounds the matchings
-    visited too; a caller who wants only the first few matchings slices
-    the lazy generator instead.
-    """
-
-    max_nodes: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        cap = self.max_nodes
-        # type, not isinstance: a bool is an int, but no cap
-        if cap is not None and (type(cap) is not int or cap <= 0):
-            raise ValueError("max_nodes must be a positive integer")
-
-
 def canonical_sort_key(graph: Graph, matching: Matching) -> tuple[int, ...]:
     """Rank of a perfect matching in canonical enumeration order.
 
@@ -89,8 +68,7 @@ def canonical_sort_key(graph: Graph, matching: Matching) -> tuple[int, ...]:
                                           for eid in matching))
 
 
-def _iter_unordered(graph: Graph,
-                    budget: Optional[EnumerationBudget] = None,
+def _iter_unordered(graph: Graph, max_nodes: int = sys.maxsize,
                     ) -> Iterator[tuple[list[int], list[int]]]:
     """The perfect-matching search, yielding its leaves in canonical order.
 
@@ -103,6 +81,11 @@ def _iter_unordered(graph: Graph,
     (graph.edge_classes) the number of placed edges in it. Both lists
     change as the search goes on, so a consumer decides from counts and
     copies chosen only for a matching it keeps.
+
+    max_nodes caps the edges placed, forced or branched, over the whole
+    search (one placed again after backtracking counts again); the
+    placement past it raises BudgetExhausted. The default, sys.maxsize, is
+    no cap: a search places far fewer edges.
 
     Forced moves are applied in cascades: once before the first branch,
     seeded with every vertex of degree one, and again after every branching
@@ -119,9 +102,6 @@ def _iter_unordered(graph: Graph,
     avail = list(map(len, adj))
     if 0 in avail:
         return
-    # the node budget is one int comparison; a search places far fewer
-    # than sys.maxsize edges
-    max_nodes = budget.max_nodes if budget and budget.max_nodes is not None else sys.maxsize
     covered = bytearray(n)
     chosen: list[int] = []
     choose = chosen.append
@@ -250,13 +230,20 @@ def _iter_unordered(graph: Graph,
         v = stack[-1][0] + 1
 
 
-def _leaves(graph: Graph, budget: Optional[EnumerationBudget]):
-    """The search's leaves. The benchmark's tracer wraps _iter_unordered
-    as a function of the graph alone, so the budget is passed only when
-    set."""
-    if budget is None:
+def _check_max_nodes(max_nodes: int) -> None:
+    # type, not isinstance: a bool is an int, but no cap
+    if type(max_nodes) is not int or max_nodes <= 0:
+        raise ValueError("max_nodes must be a positive integer")
+
+
+def _leaves(graph: Graph, max_nodes: Optional[int]):
+    """The search's leaves, the one place a cap enters the search, checked
+    at the call. The benchmark's tracer wraps _iter_unordered as a
+    function of the graph alone, so the cap is passed only when set."""
+    if max_nodes is None:
         return _iter_unordered(graph)
-    return _iter_unordered(graph, budget)
+    _check_max_nodes(max_nodes)
+    return _iter_unordered(graph, max_nodes)
 
 
 def _top_k(class_weights: tuple[int, ...], counts: list[int], k: int) -> int:
@@ -273,29 +260,30 @@ def _top_k(class_weights: tuple[int, ...], counts: list[int], k: int) -> int:
 
 def enumerate_perfect_matchings(
         graph: Graph,
-        budget: Optional[EnumerationBudget] = None,
+        max_nodes: Optional[int] = None,
         ) -> Iterator[Matching]:
     """Yield every perfect matching of the graph exactly once, as sorted
     edge-id tuples, in canonical order.
 
     Completing normally means the enumeration was exhaustive. When the node
     cap is hit, BudgetExhausted is raised mid-iteration, so a consumer can
-    always tell "complete" apart from "truncated".
+    always tell "complete" apart from "truncated". A cap that is not a
+    positive int raises ValueError at the call, before any iteration.
     """
-    return (tuple(sorted(chosen)) for chosen, _ in _leaves(graph, budget))
+    return (tuple(sorted(chosen)) for chosen, _ in _leaves(graph, max_nodes))
 
 
-def has_perfect_matching(graph: Graph, budget: Optional[EnumerationBudget] = None) -> bool:
+def has_perfect_matching(graph: Graph, max_nodes: Optional[int] = None) -> bool:
     """True iff the graph has at least one perfect matching (early exit on
     the first one found). Budget exhaustion propagates."""
-    return next(_leaves(graph, budget), None) is not None
+    return next(_leaves(graph, max_nodes), None) is not None
 
 
 def brute_em(instance: EmInstance,
-             budget: Optional[EnumerationBudget] = None) -> Optional[Matching]:
+             max_nodes: Optional[int] = None) -> Optional[Matching]:
     """First perfect matching in canonical order with exactly k red edges,
     or None when no such matching exists. Budget exhaustion propagates."""
-    return _brute_first(instance, red_counts("em", instance), budget)
+    return _brute_first(instance, red_counts("em", instance), max_nodes)
 
 
 def brute_tkpm(instance: TkpmInstance) -> Optional[tuple[Matching, int]]:
@@ -321,7 +309,7 @@ def brute_tkpm(instance: TkpmInstance) -> Optional[tuple[Matching, int]]:
 
 
 def tkpm_reaches(instance: TkpmInstance, threshold: int,
-                 budget: Optional[EnumerationBudget] = None) -> bool:
+                 max_nodes: Optional[int] = None) -> bool:
     """Decision form of TkPM: True iff some perfect matching has top-k
     weight at least threshold. Stops at the first such matching, so it
     ranks nothing and finds no optimum. Raises ValueError for a negative k;
@@ -331,7 +319,7 @@ def tkpm_reaches(instance: TkpmInstance, threshold: int,
         raise ValueError("k must be non-negative")
     class_weights = graph.class_weights
     return any(_top_k(class_weights, counts, k) >= threshold
-               for _, counts in _leaves(graph, budget))
+               for _, counts in _leaves(graph, max_nodes))
 
 
 def red_counts(problem: str, instance: EmInstance) -> range:
@@ -354,10 +342,10 @@ def red_counts(problem: str, instance: EmInstance) -> range:
 
 
 def _brute_first(instance: EmInstance, wanted: range,
-                 budget: Optional[EnumerationBudget] = None) -> Optional[Matching]:
+                 max_nodes: Optional[int] = None) -> Optional[Matching]:
     """First perfect matching in canonical order whose red count is in
     wanted, or None, which an empty wanted gives without a search."""
-    for chosen, counts in _leaves(instance.graph, budget) if wanted else ():
+    for chosen, counts in _leaves(instance.graph, max_nodes) if wanted else ():
         if counts[1] in wanted:
             return tuple(sorted(chosen))
     return None

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
-from .engines import EnumerationBudget, red_counts, tkpm_reaches
+from .engines import red_counts, tkpm_reaches
 # brute_tkpm is imported here only because bench/tracing.TARGETS wraps
 # reduction.brute_tkpm
 from .engines import brute_tkpm  # noqa: F401
@@ -164,7 +164,7 @@ def lifted_value(gadget_map: GadgetMap, matching: Matching) -> int:
 
 
 def decide_em_via_tkpm(instance: EmInstance,
-                       budget: Optional[EnumerationBudget] = None) -> bool:
+                       max_nodes: Optional[int] = None) -> bool:
     """Decide exact matching through the gadget: build it and ask whether
     some perfect matching reaches the threshold 4R + k on its top-k' weight.
 
@@ -179,7 +179,7 @@ def decide_em_via_tkpm(instance: EmInstance,
     if not red_counts("em", instance):
         return False
     gadget, gadget_map = gadgetize(instance)
-    return tkpm_reaches(gadget, gadget_map.threshold, budget)
+    return tkpm_reaches(gadget, gadget_map.threshold, max_nodes)
 
 
 def format_gadget_map(gadget_map: GadgetMap) -> str:

@@ -32,7 +32,7 @@ from exactmatch.campaign import (
     randomized_campaign,
     report_to_json,
 )
-from exactmatch.engines import EnumerationBudget, brute_em
+from exactmatch.engines import brute_em
 from exactmatch.formats import format_em_instance, parse_em_instance
 from exactmatch.generator import GenSpec, gen_instance
 from exactmatch.graphs import (
@@ -372,7 +372,7 @@ def test_exhaustive_sweep_n4():
 
 
 def test_exhaustive_sweep_budget_skips_are_recorded():
-    report = exhaustive_sweep(2, budget=EnumerationBudget(max_nodes=2))
+    report = exhaustive_sweep(2, max_nodes=2)
     assert report.instances_run == 0
     assert report.skipped == 4
     assert [skip.instance_id for skip in report.skips] == [0, 1, 2, 3]
@@ -383,14 +383,12 @@ def test_exhaustive_sweep_budget_skips_are_recorded():
 
 
 def test_exhaustive_sweep_roomy_budget_completes():
-    roomy = EnumerationBudget(max_nodes=10 ** 6)
-    report = exhaustive_sweep(2, budget=roomy)
+    report = exhaustive_sweep(2, max_nodes=10 ** 6)
     assert report.instances_run == 4 and report.skipped == 0
 
 
 def test_exhaustive_sweep_roomy_budget_matches_unbudgeted():
-    roomy = EnumerationBudget(max_nodes=10 ** 6)
-    budgeted, plain = exhaustive_sweep(4, budget=roomy), exhaustive_sweep(4)
+    budgeted, plain = exhaustive_sweep(4, max_nodes=10 ** 6), exhaustive_sweep(4)
     assert replace(budgeted, engine_seconds=()) == replace(plain, engine_seconds=())
 
 
@@ -399,11 +397,11 @@ def test_budgeted_gadget_decision_stops_at_first_hit():
     # k = 0: the first hit places 10 gadget edges, the full gadget
     # enumeration 20, so a 10-edge cap suffices
     c4 = ColoredGraph(4, ((0, 1, BLUE), (1, 2, BLUE), (2, 3, BLUE), (0, 3, BLUE)))
-    assert decide_em_via_tkpm(EmInstance(c4, 0), EnumerationBudget(max_nodes=10))
+    assert decide_em_via_tkpm(EmInstance(c4, 0), max_nodes=10)
 
 
 def test_exhaustive_sweep_reports_replayable_hard_disagreements(monkeypatch):
-    monkeypatch.setattr(campaign, "decide_em_via_tkpm", lambda inst, budget=None: True)
+    monkeypatch.setattr(campaign, "decide_em_via_tkpm", lambda inst, max_nodes=None: True)
     report = exhaustive_sweep(2)
     stream = list(exhaustive_instances(2))
     assert report.instances_run == len(stream) == 4
@@ -564,7 +562,7 @@ def test_randomized_campaign_rejects_engine_sets_that_compare_nothing(engines):
 def test_randomized_campaign_reports_rigged_hard_disagreements(monkeypatch):
     monkeypatch.setitem(
         campaign.ENGINES, "always-yes",
-        ("em", lambda inst, seed, trials, budget: Answer(True)))
+        ("em", lambda inst, seed, trials, max_nodes: Answer(True)))
     template = GenSpec(n=4, extra_edges=2, seed=37)
     report = randomized_campaign(60, template, engines=("brute-em", "always-yes"))
     assert report.disagreements
@@ -580,10 +578,10 @@ def test_randomized_campaign_reports_rigged_hard_disagreements(monkeypatch):
 def test_randomized_campaign_reports_crashing_engines_and_goes_on(monkeypatch):
     brute = campaign.ENGINES["brute-em"][1]
 
-    def crash_on_odd_k(inst, seed, trials, budget):
+    def crash_on_odd_k(inst, seed, trials, max_nodes):
         if inst.k % 2:
             raise IndexError("planted fault")
-        return brute(inst, seed, trials, budget)
+        return brute(inst, seed, trials, max_nodes)
 
     monkeypatch.setitem(campaign.ENGINES, "crasher", ("em", crash_on_odd_k))
     template = GenSpec(n=4, extra_edges=2, seed=37)
@@ -604,7 +602,7 @@ def test_randomized_campaign_reports_crashing_engines_and_goes_on(monkeypatch):
 
 
 def test_exhaustive_sweep_reports_crashing_engines(monkeypatch):
-    def crash(inst, budget=None):
+    def crash(inst, max_nodes=None):
         raise ZeroDivisionError
 
     monkeypatch.setattr(campaign, "decide_em_via_tkpm", crash)
@@ -652,7 +650,7 @@ def test_exhaustive_instances_rejects_a_max_n_that_is_not_an_int(max_n):
 def test_randomized_campaign_rigged_statistical_events(monkeypatch):
     monkeypatch.setitem(
         campaign.ENGINES, "hedger",
-        ("em", lambda inst, seed, trials, budget: Answer(False, error_bound=0.5)))
+        ("em", lambda inst, seed, trials, max_nodes: Answer(False, error_bound=0.5)))
     template = GenSpec(n=4, extra_edges=2, seed=41)
     report = randomized_campaign(60, template, engines=("brute-em", "hedger"))
     assert not report.disagreements
@@ -699,14 +697,14 @@ def test_every_solver_row_bounds_every_answer_or_none():
 def test_detection_counts_bounded_answers_against_the_first_unbounded_one(monkeypatch):
     brute = campaign.ENGINES["brute-em"][1]
 
-    def bounded(inst, seed, trials, budget):
+    def bounded(inst, seed, trials, max_nodes):
         # brute-em's verdicts, each carrying a bound as a randomized engine's do
-        answer = brute(inst, seed, trials, budget)
+        answer = brute(inst, seed, trials, max_nodes)
         return answer._replace(error_bound=0.0 if answer.yes else 0.5)
 
     monkeypatch.setitem(campaign.ENGINES, "bounded", ("em", bounded))
     monkeypatch.setitem(campaign.ENGINES, "always-yes",
-                        ("em", lambda inst, seed, trials, budget: Answer(True)))
+                        ("em", lambda inst, seed, trials, max_nodes: Answer(True)))
     template = GenSpec(n=4, extra_edges=2, seed=37)
     yes = sum(brute_em(gen_instance(replace(template, seed=template.seed + i))) is not None
               for i in range(60))
@@ -734,8 +732,8 @@ def test_an_algebraic_row_that_drops_its_bound_turns_misses_hard(monkeypatch):
     assert honest.detection == (("algebraic", 0, len(misses)),)
     row = campaign.ENGINES["algebraic"][1]
     monkeypatch.setitem(campaign.ENGINES, "algebraic", (
-        "em", lambda inst, seed, trials, budget:
-        row(inst, seed, trials, budget)._replace(error_bound=None)))
+        "em", lambda inst, seed, trials, max_nodes:
+        row(inst, seed, trials, max_nodes)._replace(error_bound=None)))
     mutant = randomized_campaign(40, template, engines=engines, trials=1)
     assert not mutant.statistical_events
     assert {d.instance_id for d in mutant.disagreements} == misses
@@ -758,3 +756,11 @@ def test_the_campaign_looks_for_each_bipartition_once(monkeypatch):
     assert len(graphs) == 60
     # the algebraic engine sits out the odd cycles, leaving nothing to compare
     assert (report.instances_run, report.skipped) == (bipartite, 60 - bipartite)
+
+
+def test_exhaustive_sweep_skips_where_a_small_cap_trips():
+    # a cap that trips is a skip, never a disagreement: a plain int used to
+    # crash both engines on all 424 instances
+    report = exhaustive_sweep(4, max_nodes=5)
+    assert not report.disagreements
+    assert (report.instances_run, report.skipped) == (4, 420)

@@ -255,6 +255,18 @@ def test_solve_rejects_invalid_instance(tmp_path, capsys, engine):
     assert captured.err == "error: parallel edge at edge 1 (duplicate of edge 0)\n"
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize("problem, engine", list(campaign.SOLVERS))
+def test_solve_rejects_trials_below_one_for_every_engine(tmp_path, capsys, problem, engine,
+                                                         trials):
+    text = "p tkpm 2 1 1\ne 0 1 3\n" if problem == "tkpm" else K2_RED_K1
+    src = write(tmp_path, "in." + problem, text)
+    assert main(["solve", problem, "--engine", engine, "--in", src, "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: trials must be positive\n"
+
+
 def test_solve_rejects_k_out_of_range(tmp_path, capsys):
     src = write(tmp_path, "bigk.em", "p em 2 1 2\ne 0 1 r\n")
     assert main(["solve", "cpm", "--in", src]) == 2
@@ -412,7 +424,7 @@ def test_repeated_calls_in_one_process_keep_no_state(tmp_path, monkeypatch, caps
     src = write(tmp_path, "in.em", K2_RED_K1)
     seeds = []
 
-    def record(inst, seed, trials, budget):
+    def record(inst, seed, trials, max_nodes):
         seeds.append(seed)
         return campaign.Answer(False)
 

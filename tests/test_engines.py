@@ -7,11 +7,10 @@ from functools import lru_cache
 
 import pytest
 
-from exactmatch import engines
+from exactmatch import campaign, engines
 from exactmatch.algebraic import EmDecision, algebraic_em_decide
 from exactmatch.engines import (
     BudgetExhausted,
-    EnumerationBudget,
     brute_bcpm,
     brute_cpm,
     brute_em,
@@ -165,10 +164,9 @@ def test_canonical_key_ranks_reversed_edges_by_lower_endpoint():
 
 def test_budgeted_engine_yields_same_sequence():
     rng = random.Random(5)
-    roomy = EnumerationBudget(max_nodes=10 ** 9)
     for _ in range(200):
         g = random_colored_graph(rng, n_max=8)
-        assert list(enumerate_perfect_matchings(g, roomy)) == \
+        assert list(enumerate_perfect_matchings(g, max_nodes=10 ** 9)) == \
             list(enumerate_perfect_matchings(g))
 
 
@@ -176,23 +174,23 @@ def test_budget_max_nodes_boundary():
     # a cap equal to the edges a full enumeration places completes, and
     # one less trips on the last placement
     for graph, placed, matchings in ((C4, 4, 2), (complete_graph(6), 35, 15)):
-        full = list(enumerate_perfect_matchings(graph, EnumerationBudget(max_nodes=placed)))
+        full = list(enumerate_perfect_matchings(graph, max_nodes=placed))
         assert full == list(enumerate_perfect_matchings(graph))
         assert len(full) == matchings
         with pytest.raises(BudgetExhausted) as info:
-            list(enumerate_perfect_matchings(graph, EnumerationBudget(max_nodes=placed - 1)))
+            list(enumerate_perfect_matchings(graph, max_nodes=placed - 1))
         assert info.value.nodes_seen == placed
 
 
 def test_budget_max_nodes():
     with pytest.raises(BudgetExhausted) as info:
-        list(enumerate_perfect_matchings(complete_graph(6), EnumerationBudget(max_nodes=2)))
+        list(enumerate_perfect_matchings(complete_graph(6), max_nodes=2))
     assert info.value.nodes_seen == 3
 
 
-def budget_outcome(graph, budget):
+def budget_outcome(graph, max_nodes):
     try:
-        return "complete", len(list(enumerate_perfect_matchings(graph, budget)))
+        return "complete", len(list(enumerate_perfect_matchings(graph, max_nodes)))
     except BudgetExhausted as exc:
         return exc.matchings_seen, exc.nodes_seen
 
@@ -205,12 +203,12 @@ def budget_outcome(graph, budget):
 ], ids=["seed 1", "seed 2", "seed 3", "gadget"])
 def test_budget_counts_are_pinned(which, expected):
     # the search's placement order fixes where a budget trips
-    budgets = (EnumerationBudget(max_nodes=7), EnumerationBudget(max_nodes=60))
+    caps = (7, 60)
     if which == "gadget":
         graph = gadgetize(gen_instance(GenSpec(n=8, extra_edges=12, seed=4)))[0].graph
     else:
         graph = gen_instance(GenSpec(n=12, extra_edges=30, seed=which)).graph
-    assert [budget_outcome(graph, b) for b in budgets] == expected
+    assert [budget_outcome(graph, cap) for cap in caps] == expected
 
 
 @pytest.mark.parametrize("cap, expected", [
@@ -228,21 +226,31 @@ def test_budget_counts_are_pinned_where_forced_moves_dominate(cap, expected):
     source = ColoredGraph(chain.n, tuple((u, v, RED if w % 3 == 0 else BLUE)
                                          for u, v, w in chain.edges))
     graph = gadgetize(EmInstance(source, 3))[0].graph
-    assert budget_outcome(graph, EnumerationBudget(max_nodes=cap)) == expected
+    assert budget_outcome(graph, cap) == expected
 
 
-def test_budget_validation():
-    with pytest.raises(ValueError):
-        EnumerationBudget(max_nodes=0)
-    with pytest.raises(ValueError):
-        EnumerationBudget(max_nodes=-1)
-    EnumerationBudget()  # unlimited is fine
+# every entry that takes a node cap, each called on an instance it searches
+CAPPED_ENTRIES = {
+    "enumerate_perfect_matchings": lambda cap: enumerate_perfect_matchings(C4, cap),
+    "has_perfect_matching": lambda cap: has_perfect_matching(C4, cap),
+    "brute_em": lambda cap: brute_em(EmInstance(C4, 0), cap),
+    "tkpm_reaches": lambda cap: tkpm_reaches(
+        TkpmInstance(WeightedGraph(2, ((0, 1, 1),)), 1), 1, cap),
+    "decide_em_via_tkpm": lambda cap: decide_em_via_tkpm(EmInstance(C4, 0), cap),
+    "brute-em row": lambda cap: campaign.ENGINES["brute-em"][1](EmInstance(C4, 0), 0, 1, cap),
+    "via-tkpm row": lambda cap: campaign.ENGINES["via-tkpm"][1](EmInstance(C4, 0), 0, 1, cap),
+    "_cross_check": lambda cap: campaign._cross_check(iter(()), {}, 1, cap, 0),
+    "exhaustive_sweep": lambda cap: campaign.exhaustive_sweep(2, max_nodes=cap),
+}
 
 
-@pytest.mark.parametrize("cap", [True, False, 2.0, "3"])
-def test_budget_rejects_a_bool_or_non_integer_cap(cap):
-    with pytest.raises(ValueError, match="positive integer"):
-        EnumerationBudget(max_nodes=cap)
+@pytest.mark.parametrize("entry", CAPPED_ENTRIES)
+@pytest.mark.parametrize("cap", [0, -1, True, False, 2.0, "3"])
+def test_every_capped_entry_rejects_a_cap_that_is_not_a_positive_int(entry, cap):
+    # the lazy enumerator raises at the call, before any iteration; a
+    # campaign raises before its first instance
+    with pytest.raises(ValueError, match="max_nodes must be a positive integer"):
+        CAPPED_ENTRIES[entry](cap)
 
 
 def test_has_perfect_matching_examples():
@@ -445,7 +453,7 @@ def test_self_loop_is_never_matched():
     assert brute_em(EmInstance(LOOPS_ONLY, 1)) is None
     assert brute_em(EmInstance(LOOPS_ONLY, 0)) is None
     assert has_perfect_matching(LOOPS_ONLY) is False
-    assert has_perfect_matching(LOOPS_ONLY, EnumerationBudget(max_nodes=100)) is False
+    assert has_perfect_matching(LOOPS_ONLY, max_nodes=100) is False
     assert list(_iter_unordered(LOOPS_ONLY)) == []
     assert brute_cpm(EmInstance(LOOPS_ONLY, 1)) is None
 
@@ -630,10 +638,10 @@ def test_negative_k_without_a_perfect_matching_ranks_nothing():
 
 
 def test_brute_em_and_tkpm_reaches_take_a_budget():
-    roomy = EnumerationBudget(max_nodes=10 ** 6)
+    roomy = 10 ** 6
     # both calls below that answer no enumerate all of K6, placing 35
     # edges, so a cap of 34 trips them
-    tight = EnumerationBudget(max_nodes=34)
+    tight = 34
     blue = complete_graph(6)
     weighted = WeightedGraph(6, tuple((u, v, u + v) for u, v, _ in blue.edges))
     assert brute_em(EmInstance(blue, 0), roomy) == brute_em(EmInstance(blue, 0)) == (0, 9, 14)

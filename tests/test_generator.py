@@ -159,3 +159,16 @@ def test_a_few_extras_on_many_vertices_take_little_memory():
         tracemalloc.stop()
     assert len(inst.graph.edges) == 1020
     assert peak < 4 << 20, peak
+
+
+@pytest.mark.parametrize("red_prob", ["0.5", True, None])
+def test_red_prob_is_an_int_or_float(red_prob):
+    # a string used to fail as TypeError in the range check, and True
+    # was read as 1.0
+    with pytest.raises(ValueError, match="red_prob must be an int or float"):
+        gen_instance(GenSpec(n=4, red_prob=red_prob))
+
+
+def test_red_prob_may_be_an_int():
+    edges = gen_instance(GenSpec(n=4, extra_edges=2, red_prob=1)).graph.edges
+    assert {c for _, _, c in edges} == {RED}

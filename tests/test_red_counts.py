@@ -20,7 +20,6 @@ import exactmatch.reduction as reduction
 from exactmatch.algebraic import algebraic_em_decide, bcpm_via_em, cpm_via_em, yes_and_error
 from exactmatch.campaign import exhaustive_instances
 from exactmatch.engines import (
-    EnumerationBudget,
     brute_bcpm,
     brute_cpm,
     brute_em,
@@ -263,9 +262,8 @@ def test_the_counted_engines_do_search_on_a_nonempty_range(calls):
 def test_exact_engines_answer_past_n_over_2_under_a_one_node_budget():
     # 2^18 perfect matchings, none with 37 red edges: a search would visit them all
     instance = EmInstance(squares(18), 37)
-    budget = EnumerationBudget(max_nodes=1)
-    assert brute_em(instance, budget) is None
-    assert decide_em_via_tkpm(instance, budget) is False
+    assert brute_em(instance, max_nodes=1) is None
+    assert decide_em_via_tkpm(instance, max_nodes=1) is False
 
 
 def test_via_tkpm_builds_no_gadget_for_a_huge_k():
