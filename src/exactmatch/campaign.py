@@ -49,7 +49,7 @@ from .engines import (
     brute_tkpm,
 )
 from .formats import format_em_instance
-from .generator import GenSpec, gen_instance
+from .generator import GenSpec, _check_spec, gen_instance
 from .graphs import BLUE, RED, ColoredGraph, EmInstance, Matching
 from .reduction import decide_em_via_tkpm
 
@@ -439,8 +439,8 @@ def randomized_campaign(
     one on which that leaves nothing to compare counts as skipped, not
     run. Raises ValueError for a count that is not a non-negative int,
     trials that are not an int of at least 1, an unknown or repeated engine
-    name, and when no problem family has two of the named engines, since
-    nothing would be compared.
+    name, when no problem family has two of the named engines, since
+    nothing would be compared, and for a template gen_instance rejects.
 
     The detection field reports, for each randomized engine (its EM answers
     carry an error bound), how many yes instances, by the first exact EM
@@ -462,6 +462,8 @@ def randomized_campaign(
     families = [ENGINES[name][0] for name in engines]
     if all(families.count(family) < 2 for family in families):
         raise ValueError("no problem family has two of the named engines to compare")
+    # the template's seed is added to below, so its fields are checked first
+    _check_spec(template)
     specs = (replace(template, seed=template.seed + i) for i in range(count))
     cases = ((i, gen_instance(spec), spec.seed) for i, spec in enumerate(specs))
     return _cross_check(cases, {name: ENGINES[name] for name in engines},

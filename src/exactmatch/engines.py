@@ -329,8 +329,11 @@ def red_counts(problem: str, instance: EmInstance) -> range:
     for cpm every count of k's parity; for bcpm the same, none above k. The
     brute solvers test a leaf's red count against the range, and the via-EM
     route asks EM at each count in order. An empty range is a "no" that
-    every engine gives without a search. Raises ValueError for other names."""
+    every engine gives without a search. Raises ValueError for other names
+    and for a k that is not an int (a bool is not one)."""
     k = instance.k
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got {k!r}")
     most = instance.graph.n // 2
     if problem == "em":
         return range(k, k + 1 if 0 <= k <= most else k)

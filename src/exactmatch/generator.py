@@ -23,8 +23,9 @@ class GenSpec:
 
     n must be an even int of at least 2. extra_edges, an int, counts edges
     beyond the planted matching. red_prob, an int or float in [0, 1], is
-    the chance that an edge is red; with bipartite=True the planted matching
-    and all extras stay across the fixed split {0..n/2-1} | {n/2..n-1}.
+    the chance that an edge is red. seed, an int, fixes the draw.
+    bipartite is a bool; when True, the planted matching and all extras
+    stay across the fixed split {0..n/2-1} | {n/2..n-1}.
     """
 
     n: int
@@ -47,6 +48,10 @@ def _check_spec(spec: GenSpec) -> None:
         raise ValueError(f"extra_edges must be an int, got {spec.extra_edges!r}")
     if type(spec.red_prob) not in (int, float):
         raise ValueError(f"red_prob must be an int or float, got {spec.red_prob!r}")
+    if type(spec.seed) is not int:
+        raise ValueError(f"seed must be an int, got {spec.seed!r}")
+    if type(spec.bipartite) is not bool:
+        raise ValueError(f"bipartite must be a bool, got {spec.bipartite!r}")
     if spec.n < 2 or spec.n % 2:
         raise ValueError(f"n must be even and >= 2, got {spec.n}")
     if not 0.0 <= spec.red_prob <= 1.0:

@@ -22,6 +22,17 @@ four subdivision vertices of edge i are n+4i..n+4i+3, forced-edge vertices
 come last. Edge ids follow the same construction order: the path of source
 edge i is gadget edges 5i..5i+4 (p1..p5, p3 is the middle) and the forced
 edges are 5m..5m+k-1, which makes serialized gadgets byte-stable.
+
+The tables the search reads off a gadget follow from the same order, so
+decide_em_via_tkpm gives its gadget graph weights, class_weights,
+edge_classes and adjacency in closed form (_gadget_tables) instead of
+running WeightedGraph's generic builders. Subdivision vertex a+j of path i
+(a = n+4i) lists its two path edges, (5i+j, its neighbour before) and
+(5i+j+1, its neighbour after); a source vertex lists (5i, a) or
+(5i+4, a+3) for each edge end, in edge order, a self-loop both; a forced
+vertex lists its one edge. The class table is (3, 2, 0) with a red path,
+otherwise (2, 0), (0,), (2,) or () as paths and forced edges exist. A
+plain gadgetize leaves every table to the generic builders.
 """
 
 from __future__ import annotations
@@ -69,6 +80,50 @@ def _edge_ids(gadget_map: GadgetMap) -> tuple[list[range], range]:
     docstring): the columns p1..p5 over all paths, and the forced edges."""
     m, k = len(gadget_map.source.graph.edges), gadget_map.source.k
     return [range(j, 5 * m, 5) for j in range(5)], range(5 * m, 5 * m + k)
+
+
+def _gadget_tables(gadget_map: GadgetMap) -> dict:
+    """The four tables the search reads off the gadget graph, keyed by
+    their WeightedGraph names and equal to what its generic builders give,
+    read off the construction order (see the module docstring) in one pass
+    over the source edges."""
+    graph, k = gadget_map.source.graph, gadget_map.source.k
+    reds = graph.edge_classes
+    # the distinct weights heaviest first, and in them the classes of a
+    # blue path, of a red path (0, 2, 3, 2, 0) and of a forced edge
+    if 1 in reds:
+        class_weights, path_classes, forced_class = (3, 2, 0), ((2,) * 5, (2, 1, 0, 1, 2)), 1
+    else:
+        # every path is blue, weight 0: the lightest class, after 2 when k > 0
+        class_weights = (_FORCED_EDGE_WEIGHT,) * (k > 0) + (0,) * (len(reds) > 0)
+        path_classes, forced_class = ((len(class_weights) - 1,) * 5, None), 0
+    path_weights = (_BLUE_PATH_WEIGHTS, _RED_PATH_WEIGHTS)
+    # a source vertex gets (p1, a) or (p5, a + 3) per edge end, in edge
+    # order, so its ids ascend; the other vertices have fixed entries
+    ends: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
+    rest: list[tuple[tuple[int, int], ...]] = []
+    a, p = graph.n, 0    # the path's first subdivision vertex and edge id
+    for u, v, _ in graph.edges:
+        b, c, d = a + 1, a + 2, a + 3
+        q, r, s, t = p + 1, p + 2, p + 3, p + 4
+        ends[u].append((p, a))
+        ends[v].append((t, d))
+        rest += (((p, u), (q, b)), ((q, a), (r, c)), ((r, b), (s, d)), ((s, c), (t, v)))
+        a += 4
+        p += 5
+    for _ in range(k):
+        # forced edge p joins a and a + 1
+        rest += (((p, a + 1),), ((p, a),))
+        a += 2
+        p += 1
+    return {
+        "weights": (tuple(chain.from_iterable(map(path_weights.__getitem__, reds)))
+                    + (_FORCED_EDGE_WEIGHT,) * k),
+        "class_weights": class_weights,
+        "edge_classes": (tuple(chain.from_iterable(map(path_classes.__getitem__, reds)))
+                         + (forced_class,) * k),
+        "adjacency": (*map(tuple, ends), *rest),
+    }
 
 
 def gadgetize(instance: EmInstance) -> tuple[TkpmInstance, GadgetMap]:
@@ -173,12 +228,18 @@ def decide_em_via_tkpm(instance: EmInstance,
     forced edges are settled in one initial forced-move pass, before any
     branching. Since no gadget matching exceeds the threshold, a first hit
     is also optimal. A gadget without any perfect matching decides no, and
-    so does a k that red_counts rules out, with no gadget built.
-    Budget exhaustion propagates.
+    so do a k that red_counts rules out and a source graph with a vertex
+    without an edge, with no gadget built. Budget exhaustion propagates.
     """
-    if not red_counts("em", instance):
+    graph = instance.graph
+    if not red_counts("em", instance) or 2 * len(graph.edges) < graph.n:
+        # the tables below hold a list per vertex: before any per-vertex work
         return False
     gadget, gadget_map = gadgetize(instance)
+    # cached_property keeps each table in the graph's __dict__, so entries
+    # stored there are what the search reads, in place of the generic
+    # builders; the gadget is this call's own and is dropped with it
+    vars(gadget.graph).update(_gadget_tables(gadget_map))
     return tkpm_reaches(gadget, gadget_map.threshold, max_nodes)
 
 

@@ -587,6 +587,7 @@ def assert_engines_match_their_oracles(g, pms):
         for k in range(g.n // 2 + 2):
             inst = EmInstance(g, k)
             assert brute_em(inst) == first(lambda r: r == k), (g, k)
+            assert decide_em_via_tkpm(inst) is (first(lambda r: r == k) is not None), (g, k)
             assert brute_cpm(inst) == first(lambda r: r % 2 == k % 2), (g, k)
             assert brute_bcpm(inst) == first(lambda r: r <= k and r % 2 == k % 2), (g, k)
         return

@@ -2,9 +2,11 @@
 
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
+from exactmatch.campaign import randomized_campaign
 from exactmatch.engines import has_perfect_matching
 from exactmatch.generator import GenSpec, _check_spec, gen_instance
 from exactmatch.graphs import BLUE, RED, ColoredGraph, EmInstance, validate, validate_instance
@@ -172,3 +174,16 @@ def test_red_prob_is_an_int_or_float(red_prob):
 def test_red_prob_may_be_an_int():
     edges = gen_instance(GenSpec(n=4, extra_edges=2, red_prob=1)).graph.edges
     assert {c for _, _, c in edges} == {RED}
+
+
+@pytest.mark.parametrize("field, value", [("bipartite", "no"), ("bipartite", 1), ("bipartite", None),
+                                          ("seed", "x"), ("seed", 1.5), ("seed", True),
+                                          ("seed", None)])
+def test_seed_and_bipartite_are_checked_by_exact_type(field, value):
+    # bipartite="no" drew a bipartite instance, seed=1.5 drew from the
+    # float's hash, and a campaign failed on seed="x" as TypeError
+    spec = replace(GenSpec(n=4, extra_edges=1), **{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be an? (int|bool), got {value!r}"):
+        gen_instance(spec)
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        randomized_campaign(2, spec)

@@ -284,3 +284,18 @@ def test_algebraic_decider_gives_an_exact_no_outside_the_range_on_any_graph(k):
     decision = algebraic_em_decide(EmInstance(TRIANGLE_AND_PENDANT, k), trials=5, seed=0)
     assert decision.answer is False
     assert decision.error_bound == 0.0 and decision.trials_run == 0
+
+
+EVERY_ENTRY = (brute_em, brute_cpm, brute_bcpm, decide_em_via_tkpm, algebraic_em_decide,
+               cpm_via_em, bcpm_via_em)
+
+
+@pytest.mark.parametrize("k", [1.0, True, "1"], ids=repr)
+@pytest.mark.parametrize("engine", EVERY_ENTRY, ids=lambda engine: engine.__name__)
+def test_a_k_that_is_not_an_int_raises_at_every_entry(engine, k):
+    # a float or a string failed inside range() as TypeError, and a bool
+    # was read as 0 or 1
+    instance = EmInstance(squares(2), k)
+    assert next(enumerate_perfect_matchings(instance.graph), None) is not None
+    with pytest.raises(ValueError, match=f"k must be an int, got {k!r}"):
+        engine(instance)

@@ -4,10 +4,13 @@ values against their closed forms, and threshold decisions."""
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from exactmatch.engines import brute_tkpm, enumerate_perfect_matchings
+from exactmatch import graphs, reduction
+from exactmatch.campaign import exhaustive_instances
+from exactmatch.engines import brute_tkpm, enumerate_perfect_matchings, tkpm_reaches
 from exactmatch.generator import GenSpec, gen_instance
 from exactmatch.graphs import (
     BLUE,
@@ -288,3 +291,95 @@ def test_top_k_weight_consistency_with_lifted_value():
         lifted = lift_matching(m, gm)
         assert lifted_value(gm, m) == top_k_weight(
             gadget.graph.weights, lifted, gadget.k)
+
+
+# the tables the search reads, which the decision presets on its gadget
+TABLES = ("weights", "class_weights", "edge_classes", "adjacency")
+
+
+def assert_preset_tables_are_the_generic_ones(instance):
+    gadget, gm = gadgetize(instance)
+    tables = reduction._gadget_tables(gm)
+    generic = WeightedGraph(gadget.graph.n, gadget.graph.edges)
+    assert sorted(tables) == sorted(TABLES)
+    for name in TABLES:
+        assert tables[name] == getattr(generic, name), (instance, name)
+
+
+def colored_multigraphs(count, seed):
+    """Seeded coloured multigraphs on 0..7 vertices: parallel copies of
+    edges, half of them reversed, self-loops, and all-blue, mixed and
+    all-red colourings."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 7)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 8) if n else 0)]
+        pairs += [(v, u) if rng.random() < 0.5 else (u, v)
+                  for u, v in rng.sample(pairs, rng.randint(0, len(pairs)))]
+        pairs += [(v, v) for v in rng.sample(range(n), rng.randint(0, min(n, 2)))]
+        rng.shuffle(pairs)
+        red_prob = rng.choice((0.0, 0.5, 1.0))
+        yield ColoredGraph(n, tuple((u, v, RED if rng.random() < red_prob else BLUE)
+                                    for u, v in pairs))
+
+
+def test_preset_tables_are_the_generic_ones_on_the_sweep_stream():
+    rng = random.Random(61)
+    sample = [inst for inst in exhaustive_instances(6) if rng.random() < 1 / 50]
+    assert len(sample) >= 2000
+    for instance in sample:
+        assert_preset_tables_are_the_generic_ones(instance)
+
+
+def test_preset_tables_are_the_generic_ones_on_multigraphs():
+    cases = 0
+    for g in colored_multigraphs(600, 62):
+        for k in (0, 1, 3):
+            assert_preset_tables_are_the_generic_ones(EmInstance(g, k))
+            cases += 1
+    assert cases == 1800
+    # the edge cases by name; without a path and at k > 0 the only weight
+    # is the forced one, so the class table is (2,), not (2, 0)
+    for g, k in ((ColoredGraph(0, ()), 0), (ColoredGraph(0, ()), 1), (ColoredGraph(2, ()), 1),
+                 (ColoredGraph(3, ()), 2), (K2_BLUE, 0), (K2_BLUE, 1), (K2_RED, 0),
+                 (ColoredGraph(1, ((0, 0, RED),)), 1), (ColoredGraph(2, ((0, 1, BLUE),) * 2), 1)):
+        assert_preset_tables_are_the_generic_ones(EmInstance(g, k))
+    assert reduction._gadget_tables(gadgetize(EmInstance(ColoredGraph(2, ()), 1))[1])[
+        "class_weights"] == (2,)
+
+
+def test_only_the_decision_presets_the_tables(monkeypatch):
+    c4 = ColoredGraph(4, ((0, 1, RED), (1, 2, BLUE), (2, 3, BLUE), (0, 3, BLUE)))
+    gadget, _ = gadgetize(EmInstance(c4, 1))
+    assert not vars(gadget.graph).keys() & set(TABLES)
+    # the decision hands the search a gadget that carries all four, and
+    # the generic adjacency builder runs for no graph
+    searched, built = [], []
+    build = graphs._build_adjacency
+
+    def building(n, edges):
+        built.append(n)
+        return build(n, edges)
+
+    def reaches(instance, threshold, max_nodes=None):
+        searched.append(vars(instance.graph).keys() & set(TABLES))
+        return tkpm_reaches(instance, threshold, max_nodes)
+
+    monkeypatch.setattr(graphs, "_build_adjacency", building)
+    monkeypatch.setattr(reduction, "tkpm_reaches", reaches)
+    assert decide_em_via_tkpm(EmInstance(c4, 1)) is True
+    assert searched == [set(TABLES)] and built == []
+
+
+def test_a_vertex_without_an_edge_decides_no_before_any_per_vertex_work():
+    # the preset adjacency holds a list per vertex, so a million vertices
+    # with one edge among them would cost tens of MiB
+    graph = ColoredGraph(10 ** 6, ((0, 1, RED),))
+    tracemalloc.start()
+    try:
+        answer = decide_em_via_tkpm(EmInstance(graph, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert answer is False
+    assert peak < 1 << 20, peak
